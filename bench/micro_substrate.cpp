@@ -276,6 +276,36 @@ void BM_ControllerBuildWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerBuildWarm);
 
+/// Warm SUB reuse: return a used controller to the same snapshot in place.
+/// Each iteration first re-dirties the pages one short single-fault run
+/// leaves dirty (learned once, up front), so the reset copies back a fault
+/// run's worth of memory — the per-run cost the campaign runner pays instead
+/// of BM_ControllerBuildWarm.
+void BM_ControllerResetWarm(benchmark::State& state) {
+  const auto snap = snapshot::capture_warm_boot(os::OsVersion::kVos2000, "apex");
+  std::vector<std::string> fns;
+  for (const auto& f : os::api_functions()) fns.emplace_back(f.name);
+  const auto fl = swfit::Scanner{}.scan(snap->kernel.pristine, fns);
+  depbench::ControllerConfig cfg;
+  cfg.time_scale = 0.02;
+  cfg.fault_stride = static_cast<int>(fl.faults.size());
+  depbench::Controller ctl(snap, cfg);
+  (void)ctl.run_iteration(fl, 1);
+  auto& m = ctl.kernel().machine();
+  constexpr auto kPage = vm::Machine::kDirtyPageSize;
+  std::vector<std::uint64_t> dirty;
+  for (std::uint64_t a = 0; a < m.mem_size(); a += kPage) {
+    if (m.page_dirty(a)) dirty.push_back(a);
+  }
+  for (auto _ : state) {
+    for (const auto a : dirty) m.mark_dirty(a, kPage);
+    ctl.reset(snap, cfg);
+    benchmark::DoNotOptimize(ctl.kernel().ticks());
+  }
+  state.counters["dirty_pages"] = static_cast<double>(dirty.size());
+}
+BENCHMARK(BM_ControllerResetWarm);
+
 void BM_FaultloadSerialize(benchmark::State& state) {
   os::Kernel kernel(os::OsVersion::kVosXp);
   std::vector<std::string> fns;

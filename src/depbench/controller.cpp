@@ -24,16 +24,33 @@ Controller::Controller(os::OsVersion version, const std::string& server_name,
 
 Controller::Controller(std::shared_ptr<const snapshot::WarmSnapshot> snap,
                        ControllerConfig cfg)
-    : cfg_(cfg),
-      kernel_(std::make_unique<os::Kernel>(snap->kernel)),
+    : kernel_(std::make_unique<os::Kernel>(snap->kernel)),
       api_(std::make_unique<os::OsApi>(*kernel_)),
       fileset_(std::make_unique<spec::Fileset>(kernel_->disk(), snap->fileset,
                                                /*populate=*/false)),
       server_(web::make_server(snap->server_name, *api_)),
-      warm_started_(true) {
+      snap_(std::move(snap)) {
+  adopt(*snap_, cfg);
+}
+
+void Controller::reset(
+    const std::shared_ptr<const snapshot::WarmSnapshot>& snap,
+    ControllerConfig cfg) {
+  if (snap == nullptr || snap != snap_) {
+    throw std::invalid_argument(
+        "Controller::reset: not the snapshot this controller was built from");
+  }
+  kernel_->reset(snap->kernel);
+  adopt(*snap, cfg);
+}
+
+void Controller::adopt(const snapshot::WarmSnapshot& snap,
+                       ControllerConfig cfg) {
+  cfg_ = cfg;
   cfg_.client.connections = cfg_.connections;
-  server_->restore_process(snap->server);
-  if (cfg_.obs != nullptr) api_->set_metrics(&cfg_.obs->api);
+  server_->restore_process(snap.server);
+  api_->set_metrics(cfg_.obs != nullptr ? &cfg_.obs->api : nullptr);
+  warm_started_ = true;
 }
 
 void Controller::bring_up() {
@@ -192,7 +209,8 @@ spec::WindowMetrics Controller::run_profile_mode(const swfit::Faultload& fl,
 
 IterationResult Controller::run_iteration(const swfit::Faultload& fl,
                                           std::uint64_t seed) {
-  if (!fl.matches(kernel_->pristine_image())) {
+  if (!fl.matches(kernel_->pristine_digest(),
+                  kernel_->pristine_image().name())) {
     throw std::invalid_argument(
         "faultload was generated for a different OS build");
   }

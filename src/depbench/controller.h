@@ -106,6 +106,24 @@ class Controller {
   Controller(std::shared_ptr<const snapshot::WarmSnapshot> snap,
              ControllerConfig cfg = {});
 
+  /// Returns a used warm controller to its snapshot state in O(dirty) and
+  /// takes on `cfg`, so one controller can serve a cell's fault runs back to
+  /// back. Restored: the kernel (machine pages written since the last
+  /// construction/reset, the whole kernel data region, active image, disk,
+  /// boot replay, ticks — see os::Kernel::reset), the server's process
+  /// image, the OsApi metrics sink (re-pointed at cfg.obs, or detached) and
+  /// the skipped-bring-up flag. Unchanged and never snapshot state: the file
+  /// set (a pure function of the snapshot), execution-strategy switches set
+  /// on the machine (fusion), and the lifetime counters — vm::DispatchStats
+  /// and os::KernelCounters keep counting across resets, and every consumer
+  /// reads them as per-run deltas. Every run_* result after a reset is
+  /// byte-identical to the same run on a fresh Controller(snap, cfg),
+  /// whatever the controller ran before (tests/test_snapshot.cpp).
+  /// `snap` must be the snapshot this controller was built from; anything
+  /// else (or a cold-built controller) throws std::invalid_argument.
+  void reset(const std::shared_ptr<const snapshot::WarmSnapshot>& snap,
+             ControllerConfig cfg);
+
   /// Baseline performance (no injector at all).
   spec::WindowMetrics run_baseline(double duration_ms, std::uint64_t seed);
 
@@ -128,6 +146,10 @@ class Controller {
   /// warm-constructed controller whose snapshot already contains it.
   void bring_up();
 
+  /// The controller-level state a warm snapshot restores, shared by the
+  /// warm constructor and reset() so the two paths cannot drift.
+  void adopt(const snapshot::WarmSnapshot& snap, ControllerConfig cfg);
+
   /// Observability harvest window: begin records the lifetime counter
   /// baselines, end folds the deltas (VM dispatch, kernel activity, client
   /// window tallies) into the task registry. No-ops without cfg_.obs.
@@ -148,6 +170,9 @@ class Controller {
   std::unique_ptr<os::OsApi> api_;
   std::unique_ptr<spec::Fileset> fileset_;
   std::unique_ptr<web::WebServer> server_;
+  /// The snapshot a warm controller was built from (null when cold-built);
+  /// held so the kernel's dirty baseline stays alive.
+  std::shared_ptr<const snapshot::WarmSnapshot> snap_;
   bool warm_started_ = false;
 };
 

@@ -490,9 +490,11 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   const auto wall0 = std::chrono::steady_clock::now();
 
   // Warm-boot snapshots: one bring-up per cell (parallelized), shared
-  // read-only by every fault run of that cell. Each run then clones a
-  // private SUB from the snapshot in O(memory copy) instead of recompiling
-  // the OS image and re-running boot + file-set population + server start.
+  // read-only by every fault run of that cell. Each run then resets its
+  // worker's SUB to the snapshot in O(dirty), or clones one from it in
+  // O(memory copy) when the worker last ran another cell, instead of
+  // recompiling the OS image and re-running boot + file-set population +
+  // server start.
   std::vector<std::shared_ptr<const snapshot::WarmSnapshot>> warm(n_cells);
   if (opt_.warm_boot) {
     run_tasks(n_cells, [&](std::size_t cell) {
@@ -518,21 +520,45 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
                std::chrono::steady_clock::now() - wall0)
         .count();
   };
-  auto build = [&](std::size_t cell, const ControllerConfig& c) {
-    auto ctl = opt_.warm_boot
-                   ? std::make_unique<Controller>(warm[cell], c)
-                   : std::make_unique<Controller>(plan[cell].version,
-                                                  plan[cell].server, c);
-    // A/B hook: fusion is an execution strategy, not a semantic knob, so it
-    // is applied to the built machine instead of traveling through
-    // ControllerConfig (and store keys). Default-on costs nothing here.
-    if (!opt_.fusion) ctl->kernel().machine().set_fusion(false);
-    return ctl;
+  // One controller slot per worker. On the warm path a run of the cell the
+  // slot already holds resets that controller in place from the cell's
+  // snapshot (O(dirty)); a run of another cell rebuilds it. The cold path
+  // builds a fresh controller for every run — the reference oracle. A run
+  // that throws drops its slot, and all slots are freed at the join.
+  struct WorkerSlot {
+    std::size_t cell = 0;
+    std::unique_ptr<Controller> ctl;
   };
-  // The per-fault mini-run: a fresh controller, exactly one fault injected
+  std::vector<WorkerSlot> slots(jobs);
+  // Runs `body` on the worker's controller, set up for `cell` and `c`.
+  auto with_controller = [&](std::size_t worker, std::size_t cell,
+                             const ControllerConfig& c, const auto& body) {
+    auto& s = slots[worker];
+    if (opt_.warm_boot && s.ctl != nullptr && s.cell == cell) {
+      s.ctl->reset(warm[cell], c);
+    } else {
+      s.ctl.reset();  // at most one controller per worker at any time
+      s.ctl = opt_.warm_boot ? std::make_unique<Controller>(warm[cell], c)
+                             : std::make_unique<Controller>(
+                                   plan[cell].version, plan[cell].server, c);
+      s.cell = cell;
+      // A/B hook: fusion is an execution strategy, not a semantic knob, so
+      // it is applied to the built machine instead of traveling through
+      // ControllerConfig (and store keys). Default-on costs nothing here.
+      if (!opt_.fusion) s.ctl->kernel().machine().set_fusion(false);
+    }
+    try {
+      body(*s.ctl);
+    } catch (...) {
+      s.ctl.reset();
+      throw;
+    }
+  };
+  // The per-fault mini-run: a controller in its snapshot state (reset or
+  // freshly built — bit-identical either way), exactly one fault injected
   // (offset = its absolute index, stride spans the whole faultload), seeded
   // by the task id 1 + iter*positions + pos. Nothing here depends on which
-  // chunk or worker the run rides in.
+  // chunk or worker the run rides in, or on what that worker ran before.
   // Post-run commit: everything the cache-resolution pass needs to fold the
   // run back without executing it. The TaskObs copy happens at the run
   // boundary, never on the VM hot path.
@@ -549,7 +575,8 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
     if (slot != nullptr) rec.obs = slot->obs;
     st->put(key, store::encode_run_record(rec));
   };
-  auto run_fault = [&](std::size_t cell, std::size_t it, std::size_t pos) {
+  auto run_fault = [&](std::size_t worker, std::size_t cell, std::size_t it,
+                       std::size_t pos) {
     const auto& cp = plan[cell];
     const std::size_t task = 1 + it * cp.positions + pos;
     const std::size_t fault_index = pos * stride;
@@ -568,14 +595,15 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
       cfg.obs = &slot->obs;
       slot->obs.wall_start_us = wall_us();
     }
-    auto ctl = build(cell, cfg);
     auto& result = fault_results[cell][it * cp.positions + pos];
-    result = ctl->run_iteration(*cp.fl, seed);
+    with_controller(worker, cell, cfg, [&](Controller& ctl) {
+      result = ctl.run_iteration(*cp.fl, seed);
+    });
     if (perturb) result.counters.self_restarts += 1;
     if (slot != nullptr) slot->obs.wall_end_us = wall_us();
     if (st != nullptr) commit_run(fault_key(cp, it, pos), cell, label, result, slot);
   };
-  auto run_baseline = [&](std::size_t cell) {
+  auto run_baseline = [&](std::size_t worker, std::size_t cell) {
     const auto& cp = plan[cell];
     auto cfg = cell_config(cp.server, opt_);
     cfg.progress = opt_.progress;
@@ -587,9 +615,10 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
       cfg.obs = &slot->obs;
       slot->obs.wall_start_us = wall_us();
     }
-    auto ctl = build(cell, cfg);
-    cells[cell].baseline =
-        ctl->run_profile_mode(*cp.fl, opt_.baseline_window_ms, seed);
+    with_controller(worker, cell, cfg, [&](Controller& ctl) {
+      cells[cell].baseline =
+          ctl.run_profile_mode(*cp.fl, opt_.baseline_window_ms, seed);
+    });
     if (slot != nullptr) slot->obs.wall_end_us = wall_us();
     if (st != nullptr) {
       IterationResult rec;
@@ -628,17 +657,19 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   std::vector<WorkUnit> units;
   for (std::size_t cell = 0; cell < n_cells; ++cell) {
     if (!plan[cell].baseline_cached) {
-      units.push_back({[&unit_done, &run_baseline, cell, baseline_cost] {
-                         run_baseline(cell);
+      units.push_back({[&unit_done, &run_baseline, cell,
+                        baseline_cost](std::size_t worker) {
+                         run_baseline(worker, cell);
                          unit_done(cell, baseline_cost);
                        },
                        baseline_cost});
     }
     for (std::size_t it = 0; it < iters; ++it) {
       for (const auto& c : plan[cell].iter_chunks[it]) {
-        units.push_back({[&unit_done, &run_fault, &plan, cell, it, c] {
+        units.push_back({[&unit_done, &run_fault, &plan, cell, it,
+                          c](std::size_t worker) {
                            for (std::size_t k = 0; k < c.count; ++k) {
-                             run_fault(cell, it,
+                             run_fault(worker, cell, it,
                                        plan[cell].miss[it][c.first + k]);
                            }
                            unit_done(cell, c.cost);
@@ -652,6 +683,7 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   sopt.jobs = jobs;
   sopt.steal = opt_.steal;
   sched_ = std::make_unique<SchedStats>(run_units(std::move(units), sopt));
+  slots.clear();  // free every worker's controller before merge/render
   GF_INFO() << "campaign schedule: " << sched_->total_units << " units on "
             << sched_->workers.size() << " workers, utilization "
             << sched_->utilization() << ", " << sched_->steals()

@@ -10,9 +10,12 @@
 // single-fault runs, groups them into cost-balanced *chunks*
 // (depbench/scheduler), and executes the chunks on a work-stealing pool.
 //
-// Determinism contract: every fault run is an independent mini-run — a fresh
-// Controller from the cell's warm snapshot (or cold-built; bit-identical
-// either way, see src/snapshot), seeded by derive_seed(seed, cell, task)
+// Determinism contract: every fault run is an independent mini-run on a SUB
+// in the cell's warm-snapshot state — the worker's Controller for that cell
+// reset in place (Controller::reset, byte-identical to a fresh one whatever
+// it ran before), or a fresh Controller when the worker last ran another
+// cell (or cold-built; bit-identical either way, see src/snapshot), seeded
+// by derive_seed(seed, cell, task)
 // where the task id is a pure function of (iteration, schedule position).
 // Results land in preallocated per-fault slots and merge_fault_runs() folds
 // them in schedule order, so the campaign results, the merged registry, the

@@ -131,7 +131,7 @@ SchedStats run_units(std::vector<WorkUnit> units, const SchedOptions& opt) {
     for (auto& u : units) {
       const auto t0 = Clock::now();
       const auto c0 = thread_cpu_us();
-      u.run();
+      u.run(0);
       w.busy_us += us_since(t0);
       w.cpu_us += thread_cpu_us() - c0;
       ++w.units;
@@ -262,7 +262,7 @@ SchedStats run_units(std::vector<WorkUnit> units, const SchedOptions& opt) {
       const auto t0 = Clock::now();
       const auto c0 = thread_cpu_us();
       try {
-        units[static_cast<std::size_t>(u)].run();
+        units[static_cast<std::size_t>(u)].run(w);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(err_mu);
         if (!err) err = std::current_exception();

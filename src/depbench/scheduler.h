@@ -43,9 +43,11 @@ namespace gf::depbench {
 
 /// One schedulable unit (a fault chunk or a baseline run). `run` must be
 /// safe to execute on any worker thread and must only write state owned by
-/// the unit (the runner's preallocated slots).
+/// the unit (the runner's preallocated slots) or by the worker it runs on:
+/// it receives that worker's index, in [0, SchedOptions::jobs), and no two
+/// units ever run on the same worker at once.
 struct WorkUnit {
-  std::function<void()> run;
+  std::function<void(std::size_t worker)> run;
   double cost = 1.0;  ///< estimated relative cost (LPT + victim selection)
 };
 

@@ -75,4 +75,14 @@ const std::vector<std::uint8_t>* SimDisk::content(const std::string& path) const
   return files_[static_cast<std::size_t>(*id)].get();
 }
 
+bool SimDisk::operator==(const SimDisk& other) const {
+  if (names_ != other.names_) return false;
+  for (std::size_t i = 0; i < files_.size(); ++i) {
+    if (files_[i] != other.files_[i] && *files_[i] != *other.files_[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace gf::os

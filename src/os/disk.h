@@ -47,6 +47,10 @@ class SimDisk {
   /// Content access for test assertions.
   const std::vector<std::uint8_t>* content(const std::string& path) const;
 
+  /// Same files (paths, ids) with the same bytes — shared buffers compare
+  /// without a byte walk.
+  bool operator==(const SimDisk& other) const;
+
  private:
   /// Returns a uniquely-owned buffer for `id`, cloning first when the
   /// content is still shared with other disks (the copy-on-write fault).

@@ -41,6 +41,7 @@ Kernel::Kernel(OsVersion version)
       pristine_(minic::compile(
           {common_source(), ntdll_source(version), kernel32_source(version)},
           std::string("vos-") + os_version_name(version), lay::kCodeBase)),
+      pristine_digest_(pristine_.code_digest()),
       active_(pristine_),
       machine_(std::make_unique<vm::Machine>(lay::kMemSize)) {
   machine_->load_image(active_);
@@ -50,20 +51,44 @@ Kernel::Kernel(OsVersion version)
 
 Kernel::Kernel(const KernelSnapshot& snap)
     : version_(snap.version),
-      disk_(snap.disk),
       pristine_(snap.pristine),
-      active_(snap.active),
-      machine_(std::make_unique<vm::Machine>(lay::kMemSize)),
-      boot_(snap.boot),
-      tick_(snap.ticks) {
-  machine_->load_image(active_);  // registers the executable range
+      pristine_digest_(snap.pristine_digest),
+      machine_(std::make_unique<vm::Machine>(lay::kMemSize)) {
+  machine_->load_image(snap.active);  // registers the executable range
   install_machine_hooks();
-  machine_->restore_full(snap.machine);
+  restore_from(snap, /*full=*/true);
+}
+
+void Kernel::reset(const KernelSnapshot& snap) {
+  if (&snap != origin_) {
+    throw std::invalid_argument(
+        "Kernel::reset: not the snapshot this kernel was built from");
+  }
+  restore_from(snap, /*full=*/false);
+}
+
+void Kernel::restore_from(const KernelSnapshot& snap, bool full) {
+  static constexpr std::uint64_t kRegion = lay::kScratch - lay::kHeapCtl;
+  if (full) {
+    machine_->restore_full(snap.machine);
+  } else {
+    // A run that threw may have left the activation watch or the profiler's
+    // sampler armed; a fresh machine has neither.
+    machine_->disarm_watch();
+    machine_->disarm_sampler();
+    machine_->mark_dirty(lay::kHeapCtl, kRegion);  // region-recopy invariant
+    machine_->restore(snap.machine);
+  }
   // The snapshot was typically taken *after* further guest work (server
   // start), so the kernel data region no longer matches the post-boot
   // baseline the replay's dirty accounting assumes: mark it all dirty so
   // the first warm reboot re-zeroes every page of it.
-  machine_->mark_dirty(lay::kHeapCtl, lay::kScratch - lay::kHeapCtl);
+  machine_->mark_dirty(lay::kHeapCtl, kRegion);
+  active_ = snap.active;
+  disk_ = snap.disk;
+  boot_ = snap.boot;
+  tick_ = snap.ticks;
+  origin_ = &snap;
 }
 
 void Kernel::install_machine_hooks() {
@@ -76,8 +101,10 @@ KernelSnapshot Kernel::snapshot() {
   KernelSnapshot s;
   s.version = version_;
   s.pristine = pristine_;
+  s.pristine_digest = pristine_digest_;
   s.active = active_;
   s.machine = machine_->snapshot();
+  origin_ = nullptr;  // the dirty bitmap is now relative to `s`
   // snapshot() reset the dirty baseline; keep this (still usable) kernel's
   // replay accounting sound by conservatively re-marking the data region.
   machine_->mark_dirty(lay::kHeapCtl, lay::kScratch - lay::kHeapCtl);

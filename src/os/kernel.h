@@ -49,6 +49,8 @@ struct BootReplay {
 struct KernelSnapshot {
   OsVersion version{};
   isa::Image pristine;
+  /// pristine.code_digest(), computed once when the kernel was compiled.
+  std::uint64_t pristine_digest = 0;
   isa::Image active;
   vm::Machine::State machine;
   std::shared_ptr<const BootReplay> boot;
@@ -78,6 +80,21 @@ class Kernel {
   /// from.
   explicit Kernel(const KernelSnapshot& snap);
 
+  /// Returns a used kernel to `snap` in O(dirty): only the machine pages
+  /// written since the last construction/reset are copied back (restored
+  /// code pages re-decode), plus the whole kernel data region (see
+  /// restore_from). The active image, disk (a copy-on-write copy), boot
+  /// replay and tick counter are reset too, and any armed watch or sampler
+  /// is disarmed. Afterwards the kernel is indistinguishable from a fresh
+  /// Kernel(snap), except for the lifetime counters() and the machine's
+  /// dispatch_stats(), which keep counting (consumers read deltas), and for
+  /// settings (set_warm_reboot, the machine's predecode/fusion switches),
+  /// which are kept.
+  /// `snap` must be the snapshot this kernel was constructed from or last
+  /// reset to — the dirty bitmap only tracks writes since then — and must
+  /// still be alive; anything else throws std::invalid_argument.
+  void reset(const KernelSnapshot& snap);
+
   OsVersion version() const noexcept { return version_; }
   vm::Machine& machine() noexcept { return *machine_; }
   const vm::Machine& machine() const noexcept { return *machine_; }
@@ -86,6 +103,9 @@ class Kernel {
 
   /// Pristine compiled image (scanner input; never mutated).
   const isa::Image& pristine_image() const noexcept { return pristine_; }
+  /// pristine_image().code_digest(), computed once per compiled image (the
+  /// pristine image never changes after construction).
+  std::uint64_t pristine_digest() const noexcept { return pristine_digest_; }
   /// Active image (the injector patches this, then calls sync_code()).
   isa::Image& active_image() noexcept { return active_; }
   const isa::Image& active_image() const noexcept { return active_; }
@@ -136,13 +156,28 @@ class Kernel {
   /// advance cycles/flags to the recorded post-boot values.
   void replay_boot();
   bool boot_code_intact() const noexcept;
+  /// The one list of snapshot-restored state, shared by Kernel(snap) and
+  /// reset(). `full` copies all of memory (a machine that never saw the
+  /// snapshot); otherwise only dirty pages plus the kernel data region.
+  ///
+  /// Region-recopy invariant: replay_boot() clears the dirty bits of
+  /// [kHeapCtl, kScratch) after zeroing it, so after a reboot that region
+  /// can differ from the snapshot on pages the bitmap calls clean. The
+  /// region is therefore always recopied, and afterwards re-marked dirty
+  /// (the snapshot was taken after server start, so the first reboot must
+  /// re-zero every region page — exactly what a fresh Kernel(snap) does).
+  void restore_from(const KernelSnapshot& snap, bool full);
 
   OsVersion version_;
   SimDisk disk_;
   isa::Image pristine_;
+  std::uint64_t pristine_digest_ = 0;
   isa::Image active_;
   std::unique_ptr<vm::Machine> machine_;
   std::shared_ptr<const BootReplay> boot_;  ///< set by the first cold boot
+  /// The snapshot the machine's dirty bitmap is relative to (null for a
+  /// cold-built kernel); reset() requires it.
+  const KernelSnapshot* origin_ = nullptr;
   bool warm_reboot_ = true;
   std::uint64_t tick_ = 0;
   KernelCounters counters_;

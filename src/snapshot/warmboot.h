@@ -8,9 +8,10 @@
 // machine + kernel + server-process state right after server start and the
 // deterministic warm-up serve (spec::warm_server), and lets
 // every task reconstruct its private SUB from the shared snapshot in
-// O(memory copy): no MiniC compilation, no boot execution, no file-set
-// regeneration (disk content is copy-on-write, so tasks share file bytes
-// until they write).
+// O(memory copy) — or reset a used one in place in O(dirty)
+// (depbench::Controller::reset): no MiniC compilation, no boot execution,
+// no file-set regeneration (disk content is copy-on-write, so tasks share
+// file bytes until they write).
 //
 // Bit-identity: the capture sequence below mirrors, call for call, what a
 // cold Controller does up to the first fault exposure (constructor bring-up,

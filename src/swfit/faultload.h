@@ -52,6 +52,9 @@ struct Faultload {
 
   /// True when this faultload was generated from exactly this image build.
   bool matches(const isa::Image& img) const;
+  /// Same check against a precomputed code digest (Kernel::pristine_digest)
+  /// — avoids re-hashing an image that never changes.
+  bool matches(std::uint64_t code_digest, const std::string& image_name) const;
 };
 
 }  // namespace gf::swfit

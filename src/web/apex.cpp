@@ -135,9 +135,7 @@ class ApexServer final : public WebServer {
     }
   }
 
-  void do_save_blobs(
-      std::vector<std::pair<std::string, std::vector<std::uint8_t>>>& out)
-      const override {
+  void do_save_blobs(Blobs& out) const override {
     // The cache is part of the warmed process: snapshots are captured after
     // the bring-up warm-up serve, and a restored process must hit the cache
     // exactly like the one that was captured. std::map iterates key-sorted,
@@ -162,9 +160,7 @@ class ApexServer final : public WebServer {
     cache_.clear();
   }
 
-  void do_restore_blobs(
-      const std::vector<std::pair<std::string, std::vector<std::uint8_t>>>&
-          in) override {
+  void do_restore_blobs(const Blobs& in) override {
     cache_.clear();
     for (const auto& [path, body] : in) {
       if (cache_.size() >= kCacheEntries) break;
@@ -211,7 +207,7 @@ class ApexServer final : public WebServer {
     if (req.method == Method::kGet) {
       const auto hit = cache_.find(req.path);
       if (hit != cache_.end()) {
-        Response resp{200, hit->second};
+        Response resp{200, *hit->second};
         if (req.dynamic) {
           for (auto& b : resp.body) b = dynamic_transform(b);
         }
@@ -299,7 +295,9 @@ class ApexServer final : public WebServer {
     check(api().rtl_free(ctx));
 
     if (cache_.size() < kCacheEntries) {
-      cache_[req.path] = resp.body;  // cache the *static* content
+      // Cache the *static* content.
+      cache_[req.path] =
+          std::make_shared<const std::vector<std::uint8_t>>(resp.body);
     }
     if (req.dynamic) {
       for (auto& b : resp.body) b = dynamic_transform(b);
@@ -400,7 +398,7 @@ class ApexServer final : public WebServer {
   int served_since_audit_ = 0;
   int heap_probe_failures_ = 0;
   std::uint64_t served_total_ = 0;
-  std::map<std::string, std::vector<std::uint8_t>> cache_;
+  std::map<std::string, Blob> cache_;  ///< bodies shared with snapshots
 };
 
 }  // namespace

@@ -44,6 +44,12 @@ struct ServerStats {
   std::uint64_t self_restarts = 0;
 };
 
+/// Immutable variable-size server state (e.g. one cached response body).
+/// Shared, never copied: restoring a process image hands the same buffers
+/// back, so a restore costs O(entries), not O(bytes).
+using Blob = std::shared_ptr<const std::vector<std::uint8_t>>;
+using Blobs = std::vector<std::pair<std::string, Blob>>;
+
 /// Snapshot of a server's C++-side process state (warm-boot snapshots).
 /// Servers are native code, so unlike guest memory their state cannot be
 /// captured from the VM: each server flattens its members to plain integers
@@ -57,7 +63,7 @@ struct ProcessImage {
   /// Variable-size state that does not flatten to scalars (e.g. apex's
   /// response cache, one entry per cached path). Key-sorted so the image
   /// is a deterministic function of the server state.
-  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> blobs;
+  Blobs blobs;
 };
 
 class WebServer {
@@ -129,12 +135,8 @@ class WebServer {
   virtual void do_restore_state(WordReader& in) = 0;
   /// Variable-size state (ProcessImage::blobs). Runs after the word pass on
   /// restore; default: the server has none.
-  virtual void do_save_blobs(
-      std::vector<std::pair<std::string, std::vector<std::uint8_t>>>&)
-      const {}
-  virtual void do_restore_blobs(
-      const std::vector<std::pair<std::string, std::vector<std::uint8_t>>>&) {
-  }
+  virtual void do_save_blobs(Blobs&) const {}
+  virtual void do_restore_blobs(const Blobs&) {}
 
   os::OsApi& api() noexcept { return api_; }
 

@@ -22,13 +22,15 @@ namespace {
 TEST(RunUnitsTest, ForcedStealsRunEveryUnitExactlyOnce) {
   constexpr std::size_t kUnits = 96;
   std::vector<std::atomic<int>> ran(kUnits);
+  std::vector<std::size_t> ran_on(kUnits);
   std::vector<WorkUnit> units;
   units.reserve(kUnits);
   for (std::size_t i = 0; i < kUnits; ++i) {
-    units.push_back({[&ran, i] {
+    units.push_back({[&ran, &ran_on, i](std::size_t worker) {
                        // A little work so thieves find non-empty deques.
                        volatile std::uint64_t x = 0;
                        for (int k = 0; k < 20000; ++k) x = x + k;
+                       ran_on[i] = worker;
                        ran[i].fetch_add(1);
                      },
                      1.0});
@@ -40,12 +42,19 @@ TEST(RunUnitsTest, ForcedStealsRunEveryUnitExactlyOnce) {
   opt.seed_single_worker = true;  // workers 1..3 must steal everything
   const auto st = run_units(std::move(units), opt);
 
+  std::vector<std::uint64_t> per_worker(4);
   for (std::size_t i = 0; i < kUnits; ++i) {
     EXPECT_EQ(ran[i].load(), 1) << "unit " << i;
+    ASSERT_LT(ran_on[i], 4u) << "unit " << i;
+    ++per_worker[ran_on[i]];
   }
   ASSERT_EQ(st.workers.size(), 4u);
   std::uint64_t total = 0;
-  for (const auto& w : st.workers) total += w.units;
+  for (std::size_t w = 0; w < 4; ++w) {
+    // The index a unit receives is the worker that ran it.
+    EXPECT_EQ(per_worker[w], st.workers[w].units) << "worker " << w;
+    total += st.workers[w].units;
+  }
   EXPECT_EQ(total, kUnits);
   EXPECT_EQ(st.total_units, kUnits);
   // Everything was seeded onto worker 0, so any unit worker 1..3 executed
@@ -58,7 +67,7 @@ TEST(RunUnitsTest, SingleWorkerRunsInScheduleOrder) {
   std::vector<std::size_t> order;
   std::vector<WorkUnit> units;
   for (std::size_t i = 0; i < 8; ++i) {
-    units.push_back({[&order, i] { order.push_back(i); }, 1.0});
+    units.push_back({[&order, i](std::size_t) { order.push_back(i); }, 1.0});
   }
   SchedOptions opt;
   opt.jobs = 1;
@@ -73,7 +82,7 @@ TEST(RunUnitsTest, SingleWorkerRunsInScheduleOrder) {
 TEST(RunUnitsTest, UnitExceptionIsRethrownAfterJoin) {
   std::vector<WorkUnit> units;
   for (int i = 0; i < 16; ++i) {
-    units.push_back({[i] {
+    units.push_back({[i](std::size_t) {
                        if (i == 5) throw std::runtime_error("unit failed");
                      },
                      1.0});

@@ -5,7 +5,10 @@
 // any worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,12 +16,15 @@
 #include "depbench/controller.h"
 #include "depbench/runner.h"
 #include "minic/compiler.h"
+#include "obs/journal.h"
 #include "os/api.h"
 #include "os/kernel.h"
 #include "os/layout.h"
 #include "snapshot/warmboot.h"
+#include "store/campaign_codec.h"
 #include "swfit/injector.h"
 #include "swfit/scanner.h"
+#include "trace/activation.h"
 #include "vm/machine.h"
 
 namespace gf {
@@ -377,6 +383,209 @@ TEST(SnapshotEquivalenceTest, CampaignIdenticalWithSnapshotsOnOrOffForAnyJobs) {
       }
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Controller reset: a reused controller is indistinguishable from a fresh
+// Controller(snap), whatever it ran before
+// ---------------------------------------------------------------------------
+
+/// Everything one fault run produces, rendered to bytes.
+struct RunBytes {
+  std::string error;  ///< what() of a run that threw, empty otherwise
+  db::IterationResult result;
+  std::string registry;  ///< metrics registry plus the exported api sink
+  std::string journal;
+  std::string profile;
+  std::string activations;
+  std::vector<std::uint8_t> record;  ///< store encoding of result + obs
+};
+
+RunBytes run_bytes(db::Controller& ctl, const swfit::Faultload& fl,
+                   const db::TaskObs& obs, std::uint64_t seed) {
+  RunBytes out;
+  try {
+    out.result = ctl.run_iteration(fl, seed);
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  }
+  obs::Registry api;
+  obs.api.export_into(api);
+  out.registry = obs.metrics.to_json() + api.to_json();
+  std::ostringstream journal;
+  obs::write_jsonl(journal, "run", obs.journal);
+  out.journal = journal.str();
+  out.profile = obs.profile.to_json();
+  std::ostringstream activations;
+  trace::write_jsonl(activations, "run", out.result.activations);
+  out.activations = activations.str();
+  store::RunRecord rec;
+  rec.result = out.result;
+  rec.has_obs = true;
+  rec.obs = obs;
+  out.record = store::encode_run_record(rec);
+  return out;
+}
+
+void expect_same_run(const RunBytes& want, const RunBytes& got) {
+  EXPECT_EQ(want.error, got.error);
+  expect_same_metrics(want.result.metrics, got.result.metrics);
+  expect_same_counters(want.result.counters, got.result.counters);
+  expect_same_records(want.result.activations, got.result.activations);
+  EXPECT_EQ(want.registry, got.registry);
+  EXPECT_EQ(want.journal, got.journal);
+  EXPECT_EQ(want.profile, got.profile);
+  EXPECT_EQ(want.activations, got.activations);
+  EXPECT_TRUE(want.record == got.record) << "store encodings differ";
+}
+
+/// A synthetic fault whose window, at the entry of API function `fn`, makes
+/// a wild store (`op` = kStB or kSt) of `value` to `target`. A store into
+/// the code region survives both the injector's restore and every reboot:
+/// only a reset (or a fresh SUB) undoes it.
+swfit::FaultLocation wild_store_fault(const isa::Image& img,
+                                      const std::string& fn, isa::Op op,
+                                      std::uint64_t target,
+                                      std::int32_t value) {
+  const auto* sym = img.find_symbol(fn);
+  EXPECT_NE(sym, nullptr) << fn;
+  swfit::FaultLocation f;
+  f.type = swfit::FaultType::kWVAV;
+  f.function = fn;
+  f.addr = sym->addr;
+  f.mutated = {{isa::Op::kMovI, 13, 0, 0, static_cast<std::int32_t>(target)},
+               {isa::Op::kMovI, 12, 0, 0, value},
+               {op, 0, 13, 12, 0}};
+  for (std::size_t i = 0; i < f.mutated.size(); ++i) {
+    f.original.push_back(*img.at(f.addr + i * isa::kInstrSize));
+  }
+  return f;
+}
+
+TEST(ControllerResetTest, ReusedControllerMatchesFreshForAnyHistory) {
+  const auto snap =
+      snapshot::capture_warm_boot(os::OsVersion::kVos2000, "apex");
+  const auto& img = snap->kernel.pristine;
+  auto fl = swfit::Scanner{}.scan(img, all_api_names());
+  ASSERT_FALSE(fl.faults.empty());
+  const std::size_t scanned = fl.faults.size();
+
+  // Three synthetic wild stores. The first rewrites the unused immediate of
+  // heap_init's final RET: boot still works, but the boot code no longer
+  // matches the pristine image, so the next reboot is a real cold_boot. The
+  // second turns NtReadFile's first opcode into garbage. The third empties
+  // the heap free list every few requests: apex's heap probe kills the
+  // worker, and the watchdog restarts it (its reboot heals the heap).
+  const auto* heap_init = img.find_symbol("heap_init");
+  ASSERT_NE(heap_init, nullptr);
+  const std::uint64_t ret_at = heap_init->addr + heap_init->size - isa::kInstrSize;
+  ASSERT_EQ(img.at(ret_at)->op, isa::Op::kRet);
+  const std::uint64_t garbage_at = img.find_symbol("NtReadFile")->addr;
+  const std::size_t boot_fault = fl.faults.size();
+  fl.faults.push_back(
+      wild_store_fault(img, "NtClose", isa::Op::kStB, ret_at + 4, 0x5A));
+  const std::size_t code_fault = fl.faults.size();
+  fl.faults.push_back(wild_store_fault(img, "RtlFreeHeap", isa::Op::kStB,
+                                       garbage_at, 0xFF));
+  const std::size_t heap_fault = fl.faults.size();
+  fl.faults.push_back(wild_store_fault(img, "RtlEnterCriticalSection",
+                                       isa::Op::kSt, os::layout::kHeapCtl, 0));
+
+  db::ControllerConfig base;
+  base.time_scale = 0.1;
+  base.trace = true;
+  base.profile_stride = 4096;
+  base.fault_stride = static_cast<int>(fl.faults.size());
+  auto cfg_for = [&](std::size_t index, db::TaskObs& obs) {
+    auto cfg = base;
+    cfg.fault_offset = static_cast<int>(index);
+    cfg.obs = &obs;
+    return cfg;
+  };
+  auto seed_for = [](std::size_t index) { return 1000 + index; };
+
+  // Expected bytes: a fresh controller per fault. Besides the synthetic
+  // faults, pick a few scanned ones, at least one of which ends in an
+  // administrator restart.
+  std::vector<std::size_t> picked{boot_fault, code_fault, heap_fault};
+  std::vector<RunBytes> want(fl.faults.size());
+  auto fresh = [&](std::size_t index) {
+    db::TaskObs obs;
+    db::Controller ctl(snap, cfg_for(index, obs));
+    want[index] = run_bytes(ctl, fl, obs, seed_for(index));
+    return want[index].result.counters;
+  };
+  for (const auto index : picked) fresh(index);
+  bool admin = false;
+  int ordinary = 0;
+  for (std::size_t i = 0; i < scanned && !(admin && ordinary == 3); i += 7) {
+    const auto c = fresh(i);
+    if (!admin && c.mis + c.kns > 0) {
+      admin = true;
+      picked.push_back(i);
+    } else if (ordinary < 3) {
+      ++ordinary;
+      picked.push_back(i);
+    }
+  }
+  ASSERT_TRUE(admin) << "no scanned fault led to an admin restart";
+  const auto& heap_run = want[heap_fault].result.counters;
+  ASSERT_GT(heap_run.self_restarts, 0) << "the watchdog never restarted apex";
+
+  // The state a fresh Kernel(snap) starts from.
+  const os::Kernel fresh_kernel(snap->kernel);
+  const auto fresh_digest = fresh_kernel.machine().state_digest();
+
+  // Every picked fault twice, shuffled, on one reused controller.
+  std::vector<std::size_t> order = picked;
+  order.insert(order.end(), picked.begin(), picked.end());
+  std::shuffle(order.begin(), order.end(), std::mt19937(7));
+  std::unique_ptr<db::Controller> ctl;
+  bool cold_boot_seen = false, garbage_seen = false;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const auto index = order[k];
+    SCOPED_TRACE("run " + std::to_string(k) + ": fault " +
+                 std::to_string(index));
+    db::TaskObs obs;
+    if (ctl == nullptr) {
+      ctl = std::make_unique<db::Controller>(snap, cfg_for(index, obs));
+    } else {
+      ctl->reset(snap, cfg_for(index, obs));
+      // The previous run ended in a reboot (every run does), which clears
+      // the kernel data region's dirty bits: reset must recopy it anyway.
+      EXPECT_EQ(ctl->kernel().machine().state_digest(), fresh_digest);
+      EXPECT_TRUE(ctl->kernel().disk() == fresh_kernel.disk());
+      EXPECT_EQ(ctl->kernel().ticks(), fresh_kernel.ticks());
+    }
+    const auto cold_boots = ctl->kernel().counters().cold_boots;
+    expect_same_run(want[index], run_bytes(*ctl, fl, obs, seed_for(index)));
+    // Counted on the kernel: the run's closing scrub reboot happens after
+    // the obs harvest.
+    cold_boot_seen =
+        cold_boot_seen || ctl->kernel().counters().cold_boots > cold_boots;
+    garbage_seen = garbage_seen ||
+                   *ctl->kernel().machine().raw(garbage_at, 1) == 0xFF;
+  }
+  EXPECT_TRUE(cold_boot_seen) << "the heap_init store never forced a cold boot";
+  EXPECT_TRUE(garbage_seen) << "the wild store into NtReadFile never ran";
+}
+
+TEST(ControllerResetTest, ResetRejectsAForeignSnapshot) {
+  const auto snap =
+      snapshot::capture_warm_boot(os::OsVersion::kVos2000, "apex");
+  const auto other =
+      snapshot::capture_warm_boot(os::OsVersion::kVos2000, "apex");
+  db::Controller warm(snap);
+  EXPECT_THROW(warm.reset(other, {}), std::invalid_argument);
+  db::Controller cold(os::OsVersion::kVos2000, "apex");
+  EXPECT_THROW(cold.reset(snap, {}), std::invalid_argument);
+  // A kernel reset is only sound against its own dirty-tracking baseline.
+  os::Kernel k(snap->kernel);
+  EXPECT_THROW(k.reset(other->kernel), std::invalid_argument);
+  k.reset(snap->kernel);
+  (void)k.snapshot();  // rebases the dirty bitmap
+  EXPECT_THROW(k.reset(snap->kernel), std::invalid_argument);
 }
 
 }  // namespace
