@@ -14,11 +14,16 @@
 // Results go to BENCH_sched.json (schema genfault-sched-bench/1, validated
 // by tools/json_check --schema sched), including each run's SchedStats.
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 
-#include "campaign_common.h"
+#include "depbench/campaign_report.h"
+#include "depbench/runner.h"
 #include "obs/json.h"
+#include "trace/activation.h"
 
 namespace {
 
@@ -33,12 +38,10 @@ struct AbRun {
   std::string sched_json;
 };
 
-AbRun run_campaign(const benchrun::CampaignOptions& copt, bool steal,
-                   int shards) {
-  auto ropt = benchrun::to_runner_options(copt);
+/// `chunk` = -S is the static sharder's S equal chunks per iteration.
+AbRun run_campaign(depbench::RunnerOptions ropt, bool steal, int chunk) {
   ropt.steal = steal;
-  ropt.shards = shards;
-  ropt.chunk = 0;
+  ropt.chunk = chunk;
   ropt.obs = true;
   ropt.trace = true;
 
@@ -73,16 +76,16 @@ AbRun run_campaign(const benchrun::CampaignOptions& copt, bool steal,
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchrun::CampaignOptions copt;
+  depbench::RunnerOptions ropt;
   // Sized so the cost skew is visible: windows long enough (scale 0.15 =
   // 1.5 s exposures) that the healthy-vs-killed op-count gap dominates the
   // fixed per-fault overhead, a chunky indivisible baseline per cell, and
   // more workers than the static partition can keep fed.
-  copt.stride = 12;
-  copt.iterations = 2;
-  copt.time_scale = 0.15;
-  copt.baseline_ms = 8000;
-  copt.jobs = 8;
+  ropt.stride = 12;
+  ropt.iterations = 2;
+  ropt.time_scale = 0.15;
+  ropt.baseline_window_ms = 8000;
+  ropt.jobs = 8;
   // The A side reproduces the sharder the scheduler replaced: S equal-
   // position shards per iteration (its default was 4), block-partitioned,
   // no rebalancing.
@@ -90,17 +93,17 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_sched.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      copt.jobs = std::atoi(argv[++i]);
+      ropt.jobs = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--stride") == 0 && i + 1 < argc) {
-      copt.stride = std::atoi(argv[++i]);
+      ropt.stride = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      copt.iterations = std::atoi(argv[++i]);
+      ropt.iterations = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      copt.time_scale = std::atof(argv[++i]);
+      ropt.time_scale = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--baseline-ms") == 0 && i + 1 < argc) {
-      copt.baseline_ms = std::atof(argv[++i]);
+      ropt.baseline_window_ms = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      copt.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      ropt.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--static-shards") == 0 && i + 1 < argc) {
       static_shards = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -114,15 +117,16 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (copt.jobs < 1) copt.jobs = 1;
+  if (ropt.jobs < 1) ropt.jobs = 1;
+  if (static_shards < 1) static_shards = 1;
 
   std::fprintf(stderr,
                "[BM_CampaignSteal] static sharder (jobs=%d, shards=%d)...\n",
-               copt.jobs, static_shards);
-  const auto stat = run_campaign(copt, /*steal=*/false, static_shards);
+               ropt.jobs, static_shards);
+  const auto stat = run_campaign(ropt, /*steal=*/false, -static_shards);
   std::fprintf(stderr, "[BM_CampaignSteal] work stealing (jobs=%d)...\n",
-               copt.jobs);
-  const auto steal = run_campaign(copt, /*steal=*/true, /*shards=*/1);
+               ropt.jobs);
+  const auto steal = run_campaign(ropt, /*steal=*/true, /*chunk=*/0);
 
   const bool identical = stat.manifest == steal.manifest &&
                          stat.journal == steal.journal &&
@@ -148,7 +152,7 @@ int main(int argc, char** argv) {
   }
   using obs::json::number;
   out << "{\n  \"schema\": \"genfault-sched-bench/1\",\n";
-  out << "  \"jobs\": " << copt.jobs << ",\n";
+  out << "  \"jobs\": " << ropt.jobs << ",\n";
   out << "  \"static_ms\": " << number(stat.wall_ms) << ",\n";
   out << "  \"steal_ms\": " << number(steal.wall_ms) << ",\n";
   out << "  \"speedup\": " << number(speedup) << ",\n";

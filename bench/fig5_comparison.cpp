@@ -5,19 +5,37 @@
 // Run with --quick for a sampled campaign. The headline conclusion to check:
 // apex (Apache-analogue) degrades less than abyssal (Abyss-analogue) on
 // every metric, and the relative difference is stable across OS versions.
-#include "campaign_common.h"
+// Takes the same flags and defaults as table5_campaign (depbench/campaign_cli)
+// so the two stay consistent.
+#include <cstdio>
+
+#include "depbench/campaign_cli.h"
+#include "depbench/report.h"
 
 int main(int argc, char** argv) {
   using namespace gf;
-  auto opt = benchrun::parse_options(argc, argv);
-  // Figure 5 uses the same sampling as Table 5 so the two stay consistent.
+  depbench::CampaignArgs args;
+  if (const auto err = depbench::parse_campaign_args(argc, argv, 1, args);
+      !err.empty()) {
+    std::fprintf(stderr, "%s\nusage: %s [options]\n%s", err.c_str(), argv[0],
+                 depbench::campaign_usage().c_str());
+    return 2;
+  }
 
-  const auto cells = benchrun::run_all_cells(opt);
-  std::printf("%s", depbench::render_fig5(cells).c_str());
-  benchrun::emit_activation_outputs(cells, opt);
+  depbench::CampaignRun run;
+  auto err = depbench::run_campaign_cli(args, run);
+  if (err.empty()) {
+    std::printf("%s", depbench::render_fig5(run.cells).c_str());
+    err = depbench::write_campaign_artifacts(args, run);
+  }
+  if (!err.empty()) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+    return 1;
+  }
 
   // The paper's closing observation: the apex/abyssal relation is the same
   // on both OS versions (the faultloads expose an intrinsic BT property).
+  const auto& cells = run.cells;
   if (cells.size() == 4) {
     const auto a2000 = depbench::derive_metrics(cells[0]);
     const auto b2000 = depbench::derive_metrics(cells[1]);

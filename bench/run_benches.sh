@@ -94,7 +94,7 @@ ratio_json=$(awk '
            cold, warm, cold / warm
   }' "$OUT")
 
-AB_ARGS=(--stride 48 --iterations 3 --shards 4 --scale 0.02
+AB_ARGS=(--stride 48 --iterations 3 --chunk 4 --scale 0.02
          --baseline-ms 500 --jobs 4)
 now_ms() { date +%s%3N; }
 t0=$(now_ms)

@@ -42,7 +42,7 @@ std::string derived_json(const DependabilityMetrics& d) {
 }
 
 // Only result-shaping options appear here: scheduling knobs (jobs, chunk,
-// shards, steal) deliberately do not, so the manifest stays byte-identical
+// steal) deliberately do not, so the manifest stays byte-identical
 // for any worker count or chunk decomposition. profile_stride shapes the
 // profiles section, hence its presence (0 = profiling off).
 std::string options_json(const RunnerOptions& opt) {
@@ -146,7 +146,7 @@ std::string campaign_html_report(const std::vector<ExperimentCell>& cells,
       ".bar{background:#4a7;display:inline-block;height:0.8em}\n"
       "</style></head><body>\n"
       "<h1>Dependability benchmark report</h1>\n";
-  // Scheduling knobs (jobs/chunk/shards) are omitted: the report must be
+  // Scheduling knobs (jobs/chunk/steal) are omitted: the report must be
   // byte-identical for any decomposition of the same campaign.
   out += "<p>iterations=" + std::to_string(opt.iterations) +
          " stride=" + std::to_string(opt.stride) +

@@ -39,8 +39,8 @@ struct ControllerConfig {
   double time_scale = 1.0;           ///< scales exposure & monitor latencies
   int fault_stride = 1;              ///< inject every k-th fault (sampling)
   /// First fault index of the iteration. Together with fault_stride this
-  /// lets a campaign runner split one iteration into disjoint shards:
-  /// shard s of S covers indices {offset + s*stride, ... step stride*S}.
+  /// lets a campaign runner pick out one fault: offset = its index and a
+  /// stride spanning the whole faultload inject exactly that fault.
   int fault_offset = 0;
   /// Faults per slot (paper Fig. 4): at slot boundaries the SUB is not
   /// exercised and gets a scheduled reset (OS reboot + server restart)

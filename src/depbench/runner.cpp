@@ -4,9 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -74,19 +72,22 @@ std::uint64_t profile_digest(const swfit::Faultload& fl, std::size_t stride) {
 }
 
 /// Key prefix shared by every run of one cell: schema, target build,
-/// cell identity, the full controller/client configuration, seed and
-/// schedule shape. Everything a run's result depends on except
+/// cell identity and index, the full controller/client configuration, seed
+/// and schedule shape. Everything a run's result depends on except
 /// (kind, iteration, position, fault content).
 store::KeyBuilder cell_key_base(const RunnerOptions& opt,
                                 const ControllerConfig& cfg,
                                 const swfit::Faultload& fl,
                                 os::OsVersion version,
-                                const std::string& server, std::size_t stride,
-                                std::size_t positions) {
+                                const std::string& server, std::size_t cell,
+                                std::size_t stride, std::size_t positions) {
   store::KeyBuilder kb;
   kb.u64(store::kResultSchema);
   kb.u64(fl.digest).str(fl.target);
-  kb.str(os::os_version_name(version)).str(server);
+  // Run seeds are derive_seed(seed, cell, task): the cell's position in the
+  // campaign matrix shapes every result, so the same (version, server) at
+  // another index must read as a miss.
+  kb.str(os::os_version_name(version)).str(server).u64(cell);
   kb.f64(cfg.fault_exposure_ms).f64(cfg.detect_ms).f64(cfg.admin_restart_ms);
   kb.u64(static_cast<std::uint64_t>(cfg.connections)).f64(cfg.time_scale);
   kb.u64(static_cast<std::uint64_t>(cfg.faults_per_slot));
@@ -106,6 +107,12 @@ store::KeyBuilder cell_key_base(const RunnerOptions& opt,
   kb.u64(cl.validate_content ? 1 : 0).f64(cl.spc_batch_ms);
   kb.u64(opt.seed).u64(stride).u64(positions);
   return kb;
+}
+
+/// Worker threads for `opt.jobs` (0 = hardware concurrency).
+std::size_t worker_count(const RunnerOptions& opt) {
+  return opt.jobs > 0 ? static_cast<std::size_t>(opt.jobs)
+                      : std::max(1u, std::thread::hardware_concurrency());
 }
 
 /// Run kinds folded after the cell prefix (baseline vs fault run).
@@ -135,27 +142,6 @@ CampaignCounters merge_counters(const CampaignCounters& a,
   return m;
 }
 
-spec::WindowMetrics merge_windows(const spec::WindowMetrics& a,
-                                  const spec::WindowMetrics& b) noexcept {
-  spec::WindowMetrics m;
-  m.duration_ms = a.duration_ms + b.duration_ms;
-  m.ops = a.ops + b.ops;
-  m.errors = a.errors + b.errors;
-  m.bytes = a.bytes + b.bytes;
-  const auto succ_a = static_cast<double>(a.ops - a.errors);
-  const auto succ_b = static_cast<double>(b.ops - b.errors);
-  const double succ = succ_a + succ_b;
-  m.thr = m.duration_ms > 0 ? succ / (m.duration_ms / 1000.0) : 0;
-  m.rtm_ms = succ > 0 ? (a.rtm_ms * succ_a + b.rtm_ms * succ_b) / succ : 0;
-  m.er_pct = m.ops > 0
-                 ? 100.0 * static_cast<double>(m.errors) /
-                       static_cast<double>(m.ops)
-                 : 0;
-  m.spc = std::min(a.spc, b.spc);
-  m.cc_pct = std::min(a.cc_pct, b.cc_pct);
-  return m;
-}
-
 void CampaignObs::merge_tasks() {
   // The merges are commutative folds, but a fixed (slot) order keeps the
   // join auditable.
@@ -173,22 +159,6 @@ void CampaignObs::merge_tasks() {
               c("api.NtCreateFile.calls") + c("api.NtOpenFile.calls"));
   metrics.add("kernel.handles.closed",
               c("api.NtClose.calls") + c("api.CloseHandle.calls"));
-}
-
-IterationResult merge_shards(const std::vector<IterationResult>& shards) {
-  if (shards.empty()) return {};
-  IterationResult merged = shards.front();
-  for (std::size_t i = 1; i < shards.size(); ++i) {
-    merged.metrics = merge_windows(merged.metrics, shards[i].metrics);
-    merged.counters = merge_counters(merged.counters, shards[i].counters);
-    merged.activations.insert(merged.activations.end(),
-                              shards[i].activations.begin(),
-                              shards[i].activations.end());
-  }
-  // Shards cover disjoint fault-index sets, so sorting by absolute index
-  // yields the same record sequence for any shard count or interleave.
-  trace::sort_records(merged.activations);
-  return merged;
 }
 
 IterationResult merge_fault_runs(const std::vector<IterationResult>& runs) {
@@ -245,39 +215,6 @@ const swfit::Faultload& CampaignRunner::faultload_for(os::OsVersion v) const {
   throw std::logic_error("faultload_for: version was not scanned");
 }
 
-void CampaignRunner::run_tasks(
-    std::size_t count, const std::function<void(std::size_t)>& task) const {
-  std::size_t jobs = opt_.jobs > 0
-                         ? static_cast<std::size_t>(opt_.jobs)
-                         : std::max(1u, std::thread::hardware_concurrency());
-  jobs = std::min(jobs, count);
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < count; ++i) task(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::mutex err_mu;
-  std::exception_ptr err;
-  auto worker = [&] {
-    while (true) {
-      const auto i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        task(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(err_mu);
-        if (!err) err = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (std::size_t j = 0; j < jobs; ++j) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  if (err) std::rethrow_exception(err);
-}
-
 std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   // Scan-cache traffic attributable to this campaign (process-wide memo, so
   // absolute hit/miss values are not a pure function of the campaign — only
@@ -289,9 +226,7 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   const auto iters = static_cast<std::size_t>(std::max(0, opt_.iterations));
   const auto stride = static_cast<std::size_t>(std::max(1, opt_.stride));
   const std::size_t n_cells = opt_.versions.size() * opt_.servers.size();
-  const std::size_t jobs =
-      opt_.jobs > 0 ? static_cast<std::size_t>(opt_.jobs)
-                    : std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t jobs = worker_count(opt_);
 
   // Oracle-sensitivity hook for the differential fuzzer (src/check): with
   // GF_CHECK_PERTURB set, parallel campaigns (jobs > 1) deliberately skew one
@@ -301,15 +236,6 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   // scheduling-shape-dependent bug rather than vacuously agreeing.
   const char* perturb_env = std::getenv("GF_CHECK_PERTURB");
   const bool perturb = perturb_env != nullptr && *perturb_env != '\0' && jobs > 1;
-
-  // --chunk wins; --shards > 1 is the deprecated equal-chunks alias, mapped
-  // onto the same decomposition (one code path, identical results).
-  int chunk_override = 0;
-  if (opt_.chunk > 0) {
-    chunk_override = opt_.chunk;
-  } else if (opt_.shards > 1) {
-    chunk_override = -opt_.shards;
-  }
 
   // Baseline cost in the cost model's unit (one healthy exposure window).
   // run_profile_mode takes its window length unscaled while exposures are
@@ -359,7 +285,8 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
     total_slots += 1 + iters * cp.positions;
     if (opt_.store != nullptr) {
       cp.key_base = cell_key_base(opt_, cell_config(cp.server, opt_), *cp.fl,
-                                  cp.version, cp.server, stride, cp.positions);
+                                  cp.version, cp.server, cell, stride,
+                                  cp.positions);
       cp.fdig.resize(cp.positions);
       for (std::size_t p = 0; p < cp.positions; ++p) {
         cp.fdig[p] = fault_digest(cp.fl->faults[p * stride]);
@@ -464,7 +391,7 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
       for (std::size_t k = 0; k < cp.miss[it].size(); ++k) {
         miss_cost[k] = cp.pos_cost[cp.miss[it][k]];
       }
-      cp.iter_chunks[it] = plan_chunks(miss_cost, jobs, chunk_override);
+      cp.iter_chunks[it] = plan_chunks(miss_cost, jobs, opt_.chunk);
     }
   }
 
@@ -497,10 +424,15 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   // server start.
   std::vector<std::shared_ptr<const snapshot::WarmSnapshot>> warm(n_cells);
   if (opt_.warm_boot) {
-    run_tasks(n_cells, [&](std::size_t cell) {
-      warm[cell] =
-          snapshot::capture_warm_boot(plan[cell].version, plan[cell].server);
-    });
+    std::vector<WorkUnit> captures;
+    for (std::size_t cell = 0; cell < n_cells; ++cell) {
+      captures.push_back({[&warm, &plan, cell](std::size_t) {
+                            warm[cell] = snapshot::capture_warm_boot(
+                                plan[cell].version, plan[cell].server);
+                          },
+                          1.0});
+    }
+    run_units(std::move(captures), SchedOptions{jobs});
   }
 
   // Per-cell countdown over *work units* so campaign progress is narrated
@@ -742,16 +674,15 @@ std::vector<IntrusivenessCell> CampaignRunner::run_intrusiveness() {
   const std::size_t n_cells = opt_.versions.size() * opt_.servers.size();
   std::vector<IntrusivenessCell> cells(n_cells);
 
-  // Two tasks per cell: 0 = max-performance baseline, 1 = profile mode.
+  // Two units per cell: 0 = max-performance baseline, 1 = profile mode.
   // Both use the cell's task-0 seed so the degradation comparison is paired
   // (same workload stream), exactly like the sequential Table 4 bench.
-  run_tasks(n_cells * 2, [&](std::size_t idx) {
+  auto run_pair_half = [&](std::size_t idx) {
     const std::size_t cell = idx / 2;
     const auto version = opt_.versions[cell / opt_.servers.size()];
     const auto& server = opt_.servers[cell % opt_.servers.size()];
-    const auto cfg = cell_config(server, opt_);
     const auto seed = derive_seed(opt_.seed, cell, 0);
-    Controller ctl(version, server, cfg);
+    Controller ctl(version, server, cell_config(server, opt_));
     if (!opt_.fusion) ctl.kernel().machine().set_fusion(false);
     if (idx % 2 == 0) {
       cells[cell].max_perf = ctl.run_baseline(opt_.baseline_window_ms, seed);
@@ -759,7 +690,13 @@ std::vector<IntrusivenessCell> CampaignRunner::run_intrusiveness() {
       cells[cell].profile = ctl.run_profile_mode(
           faultload_for(version), opt_.baseline_window_ms, seed);
     }
-  });
+  };
+  std::vector<WorkUnit> units;
+  for (std::size_t idx = 0; idx < n_cells * 2; ++idx) {
+    units.push_back({[&run_pair_half, idx](std::size_t) { run_pair_half(idx); },
+                     1.0});
+  }
+  run_units(std::move(units), SchedOptions{worker_count(opt_)});
 
   for (std::size_t cell = 0; cell < n_cells; ++cell) {
     cells[cell].os_name =

@@ -23,14 +23,9 @@
 // `jobs`, any `chunk` size and any steal interleaving. Chunk boundaries only
 // decide which worker runs which faults back-to-back — never what a fault
 // run computes.
-//
-// The legacy `shards` option is kept as a deprecated alias: `shards = S`
-// maps onto the same chunked decomposition (S equal chunks per iteration),
-// one code path, identical results.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -51,12 +46,11 @@ struct RunnerOptions {
   std::vector<std::string> servers{"apex", "abyssal"};
   int iterations = 3;
   int stride = 6;        ///< inject every k-th fault of the faultload
-  /// Deprecated alias onto chunked decomposition: `shards = S` (S > 1) asks
-  /// for S equal fault chunks per iteration, exactly like `chunk` would.
-  /// Ignored when `chunk` is set. Results are identical for any value.
-  int shards = 1;
   /// Fault positions per chunk: > 0 forces a fixed size (--chunk), 0 lets
-  /// the cost model size chunks adaptively (see depbench/scheduler).
+  /// the cost model size chunks adaptively (see depbench/scheduler), and
+  /// -S asks for S equal chunks per iteration (API only: the static-sharder
+  /// side of BM_CampaignSteal and the fuzzer's shape draws). Results are
+  /// identical for any value.
   int chunk = 0;
   /// Work stealing on (default). Off = static contiguous partition of the
   /// chunk list across workers, no rebalancing — the A/B baseline for
@@ -78,12 +72,12 @@ struct RunnerOptions {
   /// Per-fault activation & propagation tracing (fills
   /// IterationResult::activations). Per-task seeds make the records a pure
   /// function of (seed, cell, task), so they are bit-identical for any
-  /// `jobs`, and the fault-index sort makes shard merges order-independent.
+  /// `jobs`, and the fault-index sort makes the merge order-independent.
   bool trace = false;
   bool trace_probe_per_call = false;
   /// Warm-boot snapshots: build each (OS version, server) cell's SUB once,
-  /// capture the post-boot/post-server-start state, and let every shard
-  /// task reconstruct its private controller from the shared snapshot
+  /// capture the post-boot/post-server-start state, and let every fault
+  /// run reconstruct its private controller from the shared snapshot
   /// instead of re-compiling/booting from scratch. Bit-identical results
   /// for any `jobs` value (the capture mirrors the cold bring-up exactly);
   /// off = the original cold path, kept for A/B and equivalence tests.
@@ -96,8 +90,8 @@ struct RunnerOptions {
   bool fusion = true;
   /// Observability: give every task a private TaskObs bundle and merge them
   /// at the join (CampaignRunner::campaign_obs()). The merged registry and
-  /// journal are byte-identical for any `jobs` at fixed shards/seed; see
-  /// CampaignObs for the shard-invariance contract.
+  /// journal are byte-identical for any `jobs`, `chunk` or `steal` at a
+  /// fixed seed; see CampaignObs for the contract.
   bool obs = false;
   /// Deterministic guest profiler: arm the VM's virtual-cycle PC sampler for
   /// every run at `profile_stride` and collect per-function flat profiles
@@ -129,22 +123,9 @@ struct RunnerOptions {
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t cell,
                           std::uint64_t task) noexcept;
 
-/// Exact, order-independent merge of shard counters (plain field sums).
+/// Exact, order-independent merge of run counters (plain field sums).
 CampaignCounters merge_counters(const CampaignCounters& a,
                                 const CampaignCounters& b) noexcept;
-
-/// Order-independent merge of two shard windows: raw counters (duration,
-/// ops, errors, bytes) sum exactly; THR/RTM/ER% are recomputed from the
-/// sums; SPC/CC% take the conservative minimum (a connection only conforms
-/// if it conformed in every shard it was measured in).
-spec::WindowMetrics merge_windows(const spec::WindowMetrics& a,
-                                  const spec::WindowMetrics& b) noexcept;
-
-/// Folds the shard results of one iteration; the single-shard case is the
-/// identity, so shards = 1 reproduces an unsharded run bit-exactly.
-/// (Legacy helper for coarse disjoint-subset merges; the campaign path now
-/// uses merge_fault_runs.)
-IterationResult merge_shards(const std::vector<IterationResult>& shards);
 
 /// Canonical fold of one iteration's per-fault runs, in schedule order.
 /// Raw counters (duration, ops, errors, bytes, campaign tallies) sum
@@ -168,7 +149,7 @@ struct TaskObsSlot {
 /// Determinism contract:
 ///   - For a fixed (seed, stride, time_scale) the merged registry JSON and
 ///     the slot-ordered journal JSONL are byte-identical for any `jobs`,
-///     `chunk`, `shards` or `steal` value — slots are per *fault*, each a
+///     `chunk` or `steal` value — slots are per *fault*, each a
 ///     pure function of (seed, cell, iteration, schedule position), and the
 ///     merge folds them in slot order. Chunk boundaries never appear in any
 ///     artifact. tests/test_obs.cpp and tests/test_runner_steal.cpp check
@@ -231,9 +212,6 @@ class CampaignRunner {
  private:
   void scan_faultloads();
   const swfit::Faultload& faultload_for(os::OsVersion v) const;
-  /// Runs `count` tasks on the worker pool; rethrows the first task error.
-  void run_tasks(std::size_t count,
-                 const std::function<void(std::size_t)>& task) const;
 
   RunnerOptions opt_;
   std::vector<std::pair<os::OsVersion, swfit::Faultload>> faultloads_;

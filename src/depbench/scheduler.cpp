@@ -362,9 +362,9 @@ std::vector<Chunk> plan_chunks(const std::vector<double>& position_costs,
   if (chunk_override > 0) {
     fixed = static_cast<std::size_t>(chunk_override);
   } else if (chunk_override < 0) {
-    // --shards alias: -S means "decompose into S equal chunks".
-    const auto shards = static_cast<std::size_t>(-chunk_override);
-    fixed = (n + shards - 1) / shards;
+    // -S means "decompose into S equal chunks".
+    const auto parts = static_cast<std::size_t>(-chunk_override);
+    fixed = (n + parts - 1) / parts;
   }
 
   double total = 0;

@@ -142,7 +142,7 @@ struct Chunk {
 /// total/(jobs * kChunksPerWorker) estimated cost, clamped to
 /// [1, kMaxChunkFaults] positions. `chunk_override` > 0 forces exactly that
 /// many positions per chunk (the --chunk flag); `chunk_override` < 0 asks
-/// for -chunk_override equal chunks (the deprecated --shards alias).
+/// for -chunk_override equal chunks (RunnerOptions::chunk < 0).
 std::vector<Chunk> plan_chunks(const std::vector<double>& position_costs,
                                std::size_t jobs, int chunk_override);
 

@@ -2,7 +2,7 @@
 // primitive semantics (histogram buckets, registry merges, journal ring,
 // JSON parser), the campaign determinism contract (merged registry and
 // journal byte-identical for any --jobs; fault-indexed counters invariant
-// across --shards), and trace-export integrity (balanced B/E spans,
+// across chunkings), and trace-export integrity (balanced B/E spans,
 // monotone timestamps, JSONL round-trip).
 #include <gtest/gtest.h>
 
@@ -201,7 +201,7 @@ std::string journal_text(const depbench::CampaignObs& obs) {
 
 TEST(CampaignObsTest, MetricsIdenticalAcrossJobs) {
   auto opt = obs_options();
-  opt.shards = 4;
+  opt.chunk = -4;
   opt.jobs = 1;
   depbench::CampaignRunner sequential(opt);
   sequential.run_campaign();
@@ -222,16 +222,16 @@ TEST(CampaignObsTest, MetricsIdenticalAcrossJobs) {
 
 TEST(CampaignObsTest, ShardInvariantCounters) {
   auto opt = obs_options();
-  opt.shards = 1;
+  opt.chunk = 0;
   depbench::CampaignRunner one(opt);
   one.run_campaign();
-  opt.shards = 4;
+  opt.chunk = -4;
   depbench::CampaignRunner four(opt);
   four.run_campaign();
 
   const auto& a = one.campaign_obs()->metrics;
   const auto& b = four.campaign_obs()->metrics;
-  // Sharding repartitions the same fault indices, so everything keyed by
+  // Equal chunks repartition the same fault indices, so everything keyed by
   // fault index must not move; workload-coupled counters (client.ops, vm.*)
   // legitimately differ because per-task seeds change.
   for (const char* key :

@@ -1,6 +1,6 @@
-// Tests for the sharded parallel campaign runner: worker count must never
-// change results (per-task seeds are derived, slots are preallocated), and
-// fault-index shards must partition the faultload exactly.
+// Tests for the parallel campaign runner: worker count must never change
+// results (per-task seeds are derived, slots are preallocated), and equal
+// chunks must partition the faultload exactly.
 #include <gtest/gtest.h>
 
 #include "depbench/runner.h"
@@ -72,21 +72,21 @@ TEST(CampaignRunnerTest, JobsDoNotChangeResults) {
   }
 }
 
-TEST(CampaignRunnerTest, ShardsPartitionTheFaultload) {
+TEST(CampaignRunnerTest, EqualChunksPartitionTheFaultload) {
   auto opt = quick_options();
   opt.servers = {"abyssal"};
   opt.iterations = 1;
   opt.jobs = 2;
 
-  opt.shards = 1;
+  opt.chunk = 0;
   const auto whole = CampaignRunner(opt).run_campaign();
-  opt.shards = 2;
+  opt.chunk = -2;  // two equal chunks per iteration
   const auto sharded = CampaignRunner(opt).run_campaign();
 
   ASSERT_EQ(whole.size(), 1u);
   ASSERT_EQ(sharded.size(), 1u);
-  // Shard s of S covers {s*stride, s*stride + S*stride, ...}: the union is
-  // exactly the unsharded index set, so the injected-fault count is equal.
+  // The chunks cover disjoint, contiguous position ranges whose union is
+  // the whole schedule, so the injected-fault count is equal.
   EXPECT_EQ(sharded[0].iterations[0].counters.faults_injected,
             whole[0].iterations[0].counters.faults_injected);
   EXPECT_GT(sharded[0].iterations[0].metrics.ops, 0u);
@@ -126,13 +126,20 @@ TEST(CampaignRunnerTest, MergeHelpersAreExactForCountersAndIdentityForOne) {
   EXPECT_EQ(m.self_restarts, 12);
   EXPECT_EQ(m.admf(), 24);
 
+  // A one-run fold reproduces that run (THR/ER% recomputed from the sums).
   IterationResult one;
+  one.metrics.duration_ms = 2000;
   one.metrics.ops = 7;
+  one.metrics.errors = 4;
   one.metrics.thr = 1.5;
+  one.metrics.er_pct = 100.0 * 4 / 7;
+  one.metrics.spc = 3;
   one.counters.mis = 2;
-  const auto same = merge_shards({one});
+  const auto same = merge_fault_runs({one});
   EXPECT_EQ(same.metrics.ops, 7u);
   EXPECT_DOUBLE_EQ(same.metrics.thr, 1.5);
+  EXPECT_DOUBLE_EQ(same.metrics.er_pct, one.metrics.er_pct);
+  EXPECT_EQ(same.metrics.spc, 3);
   EXPECT_EQ(same.counters.mis, 2);
 }
 

@@ -119,8 +119,8 @@ TEST(PlanChunksTest, FixedOverrideForcesChunkSize) {
   EXPECT_EQ(chunks[3].count, 2u);
 }
 
-TEST(PlanChunksTest, NegativeOverrideIsTheShardsAlias) {
-  // --shards 4 -> chunk_override -4 -> ceil(22/4) = 6 positions per chunk.
+TEST(PlanChunksTest, NegativeOverrideMeansEqualChunks) {
+  // chunk -4 -> four equal chunks -> ceil(22/4) = 6 positions per chunk.
   const std::vector<double> costs(22, 1.0);
   const auto chunks = plan_chunks(costs, 8, -4);
   ASSERT_EQ(chunks.size(), 4u);
@@ -254,10 +254,10 @@ TEST(SchedulerIdentityTest, StaticPartitionAndShardsAliasMatchStealing) {
   EXPECT_EQ(a.journal, ref.journal);
   EXPECT_EQ(a.activations, ref.activations);
 
-  // Deprecated --shards alias: S equal chunks per iteration.
+  // chunk = -S: S equal chunks per iteration.
   auto sharded = base;
   sharded.jobs = 4;
-  sharded.shards = 3;
+  sharded.chunk = -3;
   const auto b = run_artifacts(sharded);
   EXPECT_EQ(b.metrics, ref.metrics);
   EXPECT_EQ(b.journal, ref.journal);

@@ -530,5 +530,39 @@ TEST(StoreCampaignTest, KilledCampaignResumesByteIdentical) {
   EXPECT_GT(st.misses, 0u) << "the kill must have left work unfinished";
 }
 
+// Tier 1: the store must key on the cell's position in the campaign matrix.
+// Run seeds are derive_seed(seed, cell, task), so VOS-XP/abyssal run alone
+// (cell 0) and VOS-XP/abyssal inside the four-cell matrix (cell 3) compute
+// different results; records of one must never serve the other.
+TEST(StoreCellKeyTest, OneCellRecordsNeverServeAnotherCellIndex) {
+  RunnerOptions four;
+  four.iterations = 1;
+  four.stride = 96;
+  four.time_scale = 0.02;
+  four.baseline_window_ms = 500;
+  four.seed = 1;
+  four.obs = true;
+  four.jobs = 2;
+  const auto ref = run_artifacts(four);
+
+  const auto dir = store_dir("cellindex");
+  store::StoreStats st;
+  {
+    store::CampaignStore cs(dir);
+    auto one = four;
+    one.versions = {os::OsVersion::kVosXp};
+    one.servers = {"abyssal"};
+    one.store = &cs;
+    run_artifacts(one, &st);
+    EXPECT_GT(st.puts, 0u);
+  }
+  store::CampaignStore cs(dir);
+  auto opt = four;
+  opt.store = &cs;
+  const auto got = run_artifacts(opt, &st);
+  EXPECT_EQ(st.hits, 0u) << "a one-cell record served a four-cell run";
+  EXPECT_EQ(got, ref);
+}
+
 }  // namespace
 }  // namespace gf::depbench

@@ -2,11 +2,8 @@
 //
 //   gfbench scan     --os 2000|xp [--out FILE] [--all-symbols]
 //   gfbench profile  --os 2000|xp [--servers a,b,...]
-//   gfbench campaign --os 2000|xp --server apex|abyssal
-//                    [--faultload FILE] [--stride K] [--scale S]
-//                    [--iterations N] [--seed S] [--jobs J] [--chunk N]
-//                    [--no-steal] [--no-fusion]
-//                    [--store DIR] [--resume] [--no-cache]
+//   gfbench campaign [--os 2000|xp] [--server NAME] [--faultload FILE]
+//                    [campaign flags shared with table5_campaign]
 //   gfbench store    <ls|verify|gc> --store DIR [--max-bytes N]
 //   gfbench show     --faultload FILE [--limit N]
 //   gfbench diff     OLD.json NEW.json [--threshold PCT] [--json FILE]
@@ -19,17 +16,17 @@
 // and the merged artifacts stay byte-identical for any cache-hit pattern.
 // `diff` compares two campaign manifests and exits nonzero when any gated
 // metric drifted beyond the threshold — the cross-campaign regression gate.
-#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 
+#include "depbench/campaign_cli.h"
 #include "depbench/campaign_diff.h"
-#include "depbench/campaign_report.h"
 #include "depbench/report.h"
 #include "depbench/tuner.h"
 #include "isa/disassembler.h"
@@ -44,35 +41,37 @@ using namespace gf;
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
-               "usage: gfbench <scan|profile|campaign|store|show> [options]\n"
+               "usage: gfbench <scan|profile|campaign|store|show|diff> "
+               "[options]\n"
                "  scan     --os 2000|xp [--out FILE] [--all-symbols]\n"
                "  profile  --os 2000|xp [--servers apex,abyssal,...]\n"
-               "  campaign --os 2000|xp --server NAME [--faultload FILE]\n"
-               "           [--stride K] [--scale S] [--iterations N] [--seed S]\n"
-               "           [--jobs J] [--chunk N] [--no-steal] [--no-fusion]\n"
-               "           [--store DIR] [--resume] [--no-cache]\n"
-               "           [--store-json FILE] [--crash-after-puts N]\n"
-               "           [--metrics-json FILE] [--html-report FILE]\n"
-               "           [--journal-out FILE] [--chrome-trace FILE]\n"
-               "           [--sched-json FILE] [--profile-json FILE]\n"
-               "           [--flame-out FILE] [--profile-stride N]\n"
+               "  campaign [campaign options]  (default: all four cells, "
+               "stride 1, seed 1000)\n"
                "  store    <ls|verify|gc> --store DIR [--max-bytes N]\n"
                "  show     --faultload FILE [--limit N]\n"
-               "  diff     OLD.json NEW.json [--threshold PCT] [--json FILE]\n");
+               "  diff     OLD.json NEW.json [--threshold PCT] [--json FILE]\n"
+               "campaign options (shared with table5_campaign and "
+               "fig5_comparison):\n%s",
+               depbench::campaign_usage().c_str());
   std::exit(2);
 }
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) {
+/// Parses `--key value` pairs and `--switch`es; any flag outside the
+/// command's lists is a usage error.
+std::map<std::string, std::string> parse_flags(
+    int argc, char** argv, int from, const std::set<std::string>& valued,
+    const std::set<std::string>& switches = {}) {
   std::map<std::string, std::string> flags;
   for (int i = from; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) usage();
-    const std::string key = argv[i] + 2;
-    if (key == "all-symbols" || key == "no-steal" || key == "resume" ||
-        key == "no-cache" || key == "no-fusion") {
+    const std::string key =
+        std::strncmp(argv[i], "--", 2) == 0 ? argv[i] + 2 : std::string{};
+    if (switches.count(key) != 0) {
       flags[key] = "1";
-    } else if (i + 1 < argc) {
+    } else if (valued.count(key) != 0 && i + 1 < argc) {
       flags[key] = argv[++i];
     } else {
+      std::fprintf(stderr, "gfbench %s: unknown or incomplete argument %s\n",
+                   argv[1], argv[i]);
       usage();
     }
   }
@@ -149,136 +148,34 @@ int cmd_profile(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_campaign(const std::map<std::string, std::string>& flags) {
-  const auto version = parse_os(flags);
-  if (!flags.count("server")) usage();
-  const auto server = flags.at("server");
-
-  // A portable faultload file is digest-checked against this build before it
-  // is handed to the runner; without the flag the runner scans for itself.
-  swfit::Faultload fl;
-  if (flags.count("faultload")) {
-    std::ifstream f(flags.at("faultload"));
-    if (!f) {
-      std::fprintf(stderr, "cannot read %s\n", flags.at("faultload").c_str());
-      return 1;
+int cmd_campaign(int argc, char** argv) {
+  // Same flags, runner and artifact writer as table5_campaign and
+  // fig5_comparison; only the defaults differ. Run seeds derive from each
+  // cell's position in the selected matrix, so a one-cell run is its own
+  // campaign, not a slice of the four-cell one (the store keys on the
+  // position too).
+  depbench::CampaignArgs args;
+  args.runner.stride = 1;
+  args.runner.seed = 1000;
+  if (const auto err = depbench::parse_campaign_args(argc, argv, 2, args);
+      !err.empty()) {
+    std::fprintf(stderr, "gfbench campaign: %s\n", err.c_str());
+    usage();
+  }
+  depbench::CampaignRun run;
+  auto err = depbench::run_campaign_cli(args, run);
+  if (err.empty()) {
+    for (const auto& cell : run.cells) {
+      std::printf("%s\n", depbench::render_table5_cell(cell).c_str());
+      const auto d = depbench::derive_metrics(cell);
+      std::printf("SPC retention %.0f%%, THR retention %.0f%%, ER%%f %.1f, "
+                  "ADMf %.1f\n",
+                  100 * d.spc_rel, 100 * d.thr_rel, d.erf_pct, d.admf);
     }
-    std::stringstream buf;
-    buf << f.rdbuf();
-    fl = swfit::Faultload::parse(buf.str());
-    os::Kernel scan_kernel(version);
-    if (!fl.matches(scan_kernel.pristine_image())) {
-      std::fprintf(stderr,
-                   "faultload digest does not match this %s build — refusing "
-                   "to inject\n",
-                   os::os_version_name(version));
-      return 1;
-    }
+    err = depbench::write_campaign_artifacts(args, run);
   }
-
-  // Single-cell campaign through the work-stealing CampaignRunner — the
-  // same decomposition, seeds, slots and merges as the bench drivers, so a
-  // gfbench run is byte-for-byte a one-cell slice of the full campaign.
-  depbench::RunnerOptions ropt;
-  ropt.versions = {version};
-  ropt.servers = {server};
-  ropt.iterations =
-      flags.count("iterations") ? std::stoi(flags.at("iterations")) : 3;
-  ropt.stride = flags.count("stride") ? std::stoi(flags.at("stride")) : 1;
-  if (flags.count("scale")) ropt.time_scale = std::stod(flags.at("scale"));
-  ropt.seed = flags.count("seed") ? std::stoull(flags.at("seed"))
-                                  : std::uint64_t{1000};
-  ropt.jobs = flags.count("jobs") ? std::stoi(flags.at("jobs")) : 0;
-  ropt.chunk = flags.count("chunk") ? std::stoi(flags.at("chunk")) : 0;
-  ropt.steal = !flags.count("no-steal");
-  // Pure execution strategy; artifacts are byte-identical either way (the CI
-  // equivalence gate cmp's them), so it never enters the store key.
-  ropt.fusion = !flags.count("no-fusion");
-  if (flags.count("shards")) {
-    std::fprintf(stderr,
-                 "warning: --shards is deprecated, use --chunk (both map onto "
-                 "the same decomposition; results are identical)\n");
-    ropt.shards = std::stoi(flags.at("shards"));
-  }
-  if (flags.count("faultload")) ropt.faultload = &fl;
-  // Profiling needs per-task obs bundles to carry the samples home.
-  ropt.profile = flags.count("profile-json") || flags.count("flame-out");
-  if (flags.count("profile-stride")) {
-    ropt.profile_stride = std::stoull(flags.at("profile-stride"));
-  }
-  ropt.obs = ropt.profile || flags.count("metrics-json") ||
-             flags.count("html-report") || flags.count("journal-out") ||
-             flags.count("chrome-trace");
-
-  // Persistent result store: --store opens/creates it, --resume insists it
-  // already exists (a typo'd directory should fail loudly, not silently run
-  // the campaign cold), --no-cache re-executes everything but still commits.
-  std::unique_ptr<store::CampaignStore> cstore;
-  if (flags.count("resume") && !flags.count("store")) {
-    std::fprintf(stderr, "--resume requires --store DIR\n");
-    return 2;
-  }
-  if (flags.count("store")) {
-    if (flags.count("resume") &&
-        !std::ifstream(flags.at("store") + "/wal.gfj")) {
-      std::fprintf(stderr, "--resume: no store at %s\n",
-                   flags.at("store").c_str());
-      return 1;
-    }
-    cstore = std::make_unique<store::CampaignStore>(flags.at("store"));
-    ropt.store = cstore.get();
-    ropt.store_read = !flags.count("no-cache");
-    if (flags.count("crash-after-puts")) {
-      // CI/test hook: hard-abort (as SIGKILL would) after the Nth commit to
-      // exercise crash recovery + resume without a cooperative shutdown.
-      const auto n = std::stoull(flags.at("crash-after-puts"));
-      cstore->set_commit_hook([n](std::uint64_t count) {
-        if (count >= n) std::raise(SIGKILL);
-      });
-    }
-  }
-
-  depbench::CampaignRunner runner(ropt);
-  const auto cells = runner.run_campaign();
-  const auto& cell = cells.at(0);
-  std::printf("%s\n", depbench::render_table5_cell(cell).c_str());
-  const auto d = depbench::derive_metrics(cell);
-  std::printf("SPC retention %.0f%%, THR retention %.0f%%, ER%%f %.1f, "
-              "ADMf %.1f\n",
-              100 * d.spc_rel, 100 * d.thr_rel, d.erf_pct, d.admf);
-
-  auto emit = [&](const char* flag, const std::string& content) {
-    if (!flags.count(flag)) return true;
-    std::ofstream out(flags.at(flag));
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", flags.at(flag).c_str());
-      return false;
-    }
-    out << content;
-    std::printf("wrote %s\n", flags.at(flag).c_str());
-    return true;
-  };
-  const auto* cobs = runner.campaign_obs();
-  if (cobs != nullptr) {
-    std::ostringstream journal;
-    depbench::write_campaign_journal(journal, *cobs);
-    if (!emit("metrics-json", cobs->metrics.to_json()) ||
-        !emit("html-report",
-              depbench::campaign_html_report(cells, ropt, cobs)) ||
-        !emit("journal-out", journal.str()) ||
-        !emit("chrome-trace", depbench::campaign_chrome_trace(*cobs)) ||
-        !emit("profile-json",
-              depbench::campaign_profile_json(cells, ropt, *cobs)) ||
-        !emit("flame-out", depbench::campaign_flamegraph(*cobs))) {
-      return 1;
-    }
-  }
-  if (runner.scheduler_stats() != nullptr &&
-      !emit("sched-json", runner.scheduler_stats()->to_json())) {
-    return 1;
-  }
-  if (runner.store_stats() != nullptr &&
-      !emit("store-json", runner.store_stats()->to_json())) {
+  if (!err.empty()) {
+    std::fprintf(stderr, "%s\n", err.c_str());
     return 1;
   }
   return 0;
@@ -287,7 +184,7 @@ int cmd_campaign(const std::map<std::string, std::string>& flags) {
 int cmd_store(int argc, char** argv) {
   if (argc < 3) usage();
   const std::string action = argv[2];
-  const auto flags = parse_flags(argc, argv, 3);
+  const auto flags = parse_flags(argc, argv, 3, {"store", "max-bytes"});
   if (!flags.count("store")) usage();
   store::CampaignStore st(flags.at("store"));
   if (action == "ls") {
@@ -335,7 +232,7 @@ int cmd_diff(int argc, char** argv) {
       std::strncmp(argv[3], "--", 2) == 0) {
     usage();
   }
-  const auto flags = parse_flags(argc, argv, 4);
+  const auto flags = parse_flags(argc, argv, 4, {"threshold", "json"});
   auto slurp = [](const char* path, std::string& out) {
     std::ifstream f(path);
     if (!f) {
@@ -416,11 +313,16 @@ int main(int argc, char** argv) {
     // their flags; everything else is flags-only from argv[2].
     if (cmd == "store") return cmd_store(argc, argv);
     if (cmd == "diff") return cmd_diff(argc, argv);
-    const auto flags = parse_flags(argc, argv, 2);
-    if (cmd == "scan") return cmd_scan(flags);
-    if (cmd == "profile") return cmd_profile(flags);
-    if (cmd == "campaign") return cmd_campaign(flags);
-    if (cmd == "show") return cmd_show(flags);
+    if (cmd == "campaign") return cmd_campaign(argc, argv);
+    if (cmd == "scan") {
+      return cmd_scan(parse_flags(argc, argv, 2, {"os", "out"}, {"all-symbols"}));
+    }
+    if (cmd == "profile") {
+      return cmd_profile(parse_flags(argc, argv, 2, {"os", "servers"}));
+    }
+    if (cmd == "show") {
+      return cmd_show(parse_flags(argc, argv, 2, {"faultload", "limit"}));
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
