@@ -1,8 +1,8 @@
 // Substrate micro-benchmarks (google-benchmark): VM dispatch rate, MiniC
-// compilation, G-SWFIT scanning, inject/restore cost, and end-to-end OS API
-// call latency. These quantify the supporting claims: faultload generation
-// is fast ("less than 5 minutes" in the paper) and runtime injection is a
-// cheap patch operation.
+// compilation, G-SWFIT scanning, inject/restore cost, end-to-end OS API
+// call latency and one served web request. These quantify the supporting
+// claims: faultload generation is fast ("less than 5 minutes" in the paper)
+// and runtime injection is a cheap patch operation.
 #include <benchmark/benchmark.h>
 
 #include "depbench/controller.h"
@@ -13,6 +13,8 @@
 #include "os/kernel.h"
 #include "os/layout.h"
 #include "snapshot/warmboot.h"
+#include "spec/fileset.h"
+#include "spec/workload.h"
 #include "swfit/injector.h"
 #include "swfit/scanner.h"
 #include "vm/machine.h"
@@ -305,6 +307,36 @@ void BM_ControllerResetWarm(benchmark::State& state) {
   state.counters["dirty_pages"] = static_cast<double>(dirty.size());
 }
 BENCHMARK(BM_ControllerResetWarm);
+
+/// Host serving path, fault-free: one SPEC-mix request per iteration against
+/// a server on a warm snapshot — the VM, the OsApi boundary and the host web
+/// model together, without the client's content checks. The controller is
+/// reset to the snapshot after every pass over the pregenerated requests
+/// (outside the timing) so the POST log and the guest heap stay bounded.
+void BM_ServeRequest(benchmark::State& state, const char* server) {
+  const auto snap = snapshot::capture_warm_boot(os::OsVersion::kVos2000, server);
+  depbench::Controller ctl(snap);
+  const spec::Fileset fs(ctl.kernel().disk(), {}, /*populate=*/false);
+  spec::WorkloadGenerator gen(fs, 1);
+  std::vector<web::Request> reqs(1024);
+  for (auto& r : reqs) r = gen.next();
+  std::size_t next = 0;
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    if (next == reqs.size()) {
+      state.PauseTiming();
+      ctl.reset(snap, {});
+      next = 0;
+      state.ResumeTiming();
+    }
+    const auto resp = ctl.server().handle(reqs[next++]);
+    bytes += static_cast<std::int64_t>(resp.body.size());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK_CAPTURE(BM_ServeRequest, apex, "apex");
+BENCHMARK_CAPTURE(BM_ServeRequest, abyssal, "abyssal");
 
 void BM_FaultloadSerialize(benchmark::State& state) {
   os::Kernel kernel(os::OsVersion::kVosXp);

@@ -144,6 +144,11 @@ bool OsApi::write_bytes(std::uint64_t addr, const void* data, std::size_t n) {
   return kernel_.machine().write_bytes(addr, data, n);
 }
 
+bool OsApi::append_bytes(std::uint64_t addr, std::size_t n,
+                         std::vector<std::uint8_t>& out) const {
+  return kernel_.machine().append_bytes(addr, n, out);
+}
+
 std::uint64_t OsApi::read_u64_or(std::uint64_t addr, std::uint64_t fallback) const {
   std::uint64_t v = 0;
   if (!kernel_.machine().read_u64(addr, v)) return fallback;

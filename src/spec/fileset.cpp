@@ -29,11 +29,8 @@ Fileset::Fileset(os::SimDisk& disk, const FilesetConfig& cfg, bool populate) {
         std::snprintf(path, sizeof path, "/file_set/dir%05d/class%d_%d", d, c, j);
         const auto size = file_size(c, j);
         if (populate) {
-          const auto seed = web::path_seed(path);
           std::vector<std::uint8_t> content(size);
-          for (std::size_t i = 0; i < size; ++i) {
-            content[i] = web::expected_content_byte(seed, i);
-          }
+          web::fill_expected_content(web::path_seed(path), content);
           disk.add_file(path, std::move(content));
         }
         by_class_[static_cast<std::size_t>(c)].push_back(files_.size());

@@ -7,7 +7,8 @@
 // the DESIGN.md substitution table documents this.
 //
 // Every file's content is the deterministic function of its path defined in
-// web/http.h, which is what lets the client validate every served byte.
+// web/http.h, which is what lets the client check served bytes (a sample:
+// first, last and every 17th byte) without keeping a copy of the file.
 #pragma once
 
 #include <cstdint>

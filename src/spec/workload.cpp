@@ -22,8 +22,7 @@ WorkloadGenerator::WorkloadGenerator(const Fileset& fs, std::uint64_t seed,
     : fs_(fs),
       rng_(seed),
       mix_(mix),
-      dir_zipf_(static_cast<std::size_t>(count_dirs(fs)), 1.0),
-      num_dirs_(count_dirs(fs)) {
+      dir_zipf_(static_cast<std::size_t>(count_dirs(fs)), 1.0) {
   for (const auto& f : fs.files()) sizes_[f.path] = f.size;
 }
 
@@ -39,7 +38,7 @@ web::Request WorkloadGenerator::next() {
   const auto& members = fs_.class_members(size_class);
   // Files are laid out dir-major: dir * files_per_class consecutive entries
   // per class. Index into this directory's slice of the class.
-  const auto per_dir = members.size() / static_cast<std::size_t>(num_dirs_);
+  const auto per_dir = members.size() / dir_zipf_.size();
   const auto j = rng_.bounded(per_dir);
   const auto file_index = members[dir * per_dir + j];
   req.path = fs_.files()[file_index].path;

@@ -34,8 +34,7 @@ class WorkloadGenerator {
   const Fileset& fs_;
   util::Rng rng_;
   WorkloadMix mix_;
-  util::Zipf dir_zipf_;
-  int num_dirs_;
+  util::Zipf dir_zipf_;  ///< one entry per directory
   std::map<std::string, std::size_t> sizes_;
 };
 

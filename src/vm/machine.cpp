@@ -546,6 +546,16 @@ bool Machine::read_bytes(std::uint64_t addr, void* out, std::size_t n) const noe
   return true;
 }
 
+bool Machine::append_bytes(std::uint64_t addr, std::size_t n,
+                           std::vector<std::uint8_t>& out) const {
+  if (n == 0) return true;
+  if (addr < kNullPageSize || addr >= mem_.size() || mem_.size() - addr < n)
+    return false;
+  const auto* src = mem_.data() + addr;
+  out.insert(out.end(), src, src + n);
+  return true;
+}
+
 bool Machine::write_bytes(std::uint64_t addr, const void* data, std::size_t n) noexcept {
   if (n == 0) return true;
   if (addr < kNullPageSize || addr >= mem_.size() || mem_.size() - addr < n)

@@ -95,10 +95,7 @@ class AbyssalServer final : public WebServer {
     while (resp.body.size() < kMaxBody) {
       const auto rd = die_on_crash(api().nt_read_file(h, data, kChunk));
       if (rd.value <= 0) break;  // any error is treated like EOF
-      const auto n = static_cast<std::size_t>(rd.value);
-      const auto old = resp.body.size();
-      resp.body.resize(old + n);
-      if (!api().read_bytes(data, resp.body.data() + old, n)) {
+      if (!api().append_bytes(data, static_cast<std::size_t>(rd.value), resp.body)) {
         // Reading through a bad buffer pointer: the process dereferenced
         // garbage memory.
         throw ServerDeath{};
@@ -110,7 +107,7 @@ class AbyssalServer final : public WebServer {
 
     if (open.value <= 0) return Response{500, {}};
     if (req.dynamic) {
-      for (auto& b : resp.body) b = dynamic_transform(b);
+      apply_dynamic_transform(resp.body);
     }
     return resp;
   }

@@ -209,7 +209,7 @@ class ApexServer final : public WebServer {
       if (hit != cache_.end()) {
         Response resp{200, *hit->second};
         if (req.dynamic) {
-          for (auto& b : resp.body) b = dynamic_transform(b);
+          apply_dynamic_transform(resp.body);
         }
         return resp;
       }
@@ -284,9 +284,7 @@ class ApexServer final : public WebServer {
       api().rtl_free(ctx);
       throw RequestAbort{};
     }
-    const auto n = static_cast<std::size_t>(rd.value);
-    resp.body.resize(n);
-    if (n > 0 && !api().read_bytes(data, resp.body.data(), n)) {
+    if (!api().append_bytes(data, static_cast<std::size_t>(rd.value), resp.body)) {
       hang_check(api().nt_close(h));
       api().rtl_free(ctx);
       throw RequestAbort{};
@@ -300,7 +298,7 @@ class ApexServer final : public WebServer {
           std::make_shared<const std::vector<std::uint8_t>>(resp.body);
     }
     if (req.dynamic) {
-      for (auto& b : resp.body) b = dynamic_transform(b);
+      apply_dynamic_transform(resp.body);
     }
     return resp;
   }

@@ -11,22 +11,11 @@ std::uint64_t path_seed(const std::string& path) {
   return h;
 }
 
-std::uint8_t expected_content_byte(std::uint64_t seed, std::size_t i) noexcept {
-  return static_cast<std::uint8_t>(seed + i * 31);
-}
-
-std::uint8_t dynamic_transform(std::uint8_t b) noexcept {
-  return static_cast<std::uint8_t>(b ^ 0x5A);
-}
-
 std::vector<std::uint8_t> expected_body(const std::string& path, std::size_t size,
                                         bool dynamic) {
-  const auto seed = path_seed(path);
   std::vector<std::uint8_t> out(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    out[i] = expected_content_byte(seed, i);
-    if (dynamic) out[i] = dynamic_transform(out[i]);
-  }
+  fill_expected_content(path_seed(path), out);
+  if (dynamic) apply_dynamic_transform(out);
   return out;
 }
 

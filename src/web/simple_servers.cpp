@@ -101,16 +101,14 @@ class SambarServer final : public WebServer {
       }
       const auto n = api().read_u64_or(os::OsApi::kOutSlot, 0);
       if (n == 0) break;
-      const auto old = resp.body.size();
-      resp.body.resize(old + n);
-      if (!api().read_bytes(data_buf_, resp.body.data() + old, n)) {
+      if (!api().append_bytes(data_buf_, n, resp.body)) {
         throw ServerDeath{};
       }
       if (n < static_cast<std::uint64_t>(kChunk)) break;
     }
     die_on_crash(api().close_handle(h));
     if (req.dynamic) {
-      for (auto& b : resp.body) b = dynamic_transform(b);
+      apply_dynamic_transform(resp.body);
     }
     return resp;
   }
@@ -221,7 +219,7 @@ class SavantServer final : public WebServer {
     Response resp = req.method == Method::kPost ? serve_post(req) : serve_get();
     die_on_crash(api().rtl_free(static_cast<std::uint64_t>(session.value)));
     if (resp.status == 200 && req.dynamic && req.method == Method::kGet) {
-      for (auto& b : resp.body) b = dynamic_transform(b);
+      apply_dynamic_transform(resp.body);
     }
     return resp;
   }
@@ -258,10 +256,8 @@ class SavantServer final : public WebServer {
         return Response{500, {}};
       }
       if (rd.value == 0) break;
-      const auto n = static_cast<std::size_t>(rd.value);
-      const auto old = resp.body.size();
-      resp.body.resize(old + n);
-      if (!api().read_bytes(data_buf_, resp.body.data() + old, n)) {
+      if (!api().append_bytes(data_buf_, static_cast<std::size_t>(rd.value),
+                              resp.body)) {
         throw ServerDeath{};
       }
       if (rd.value < 2048) break;

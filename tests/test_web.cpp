@@ -36,6 +36,63 @@ TEST(Http, DynamicBodyDiffersFromStatic) {
   EXPECT_NE(expected_body("/x", 16, true), expected_body("/x", 16, false));
 }
 
+// The content kernels are constexpr and header-inline so every per-byte
+// loop on the serving path vectorises; these fail to compile if either one
+// moves back out of line.
+static_assert(expected_content_byte(0, 0) == 0);
+static_assert(expected_content_byte(0x100, 1) == 31);
+static_assert(expected_content_byte(5, 9) == static_cast<std::uint8_t>(5 + 9 * 31));
+static_assert(dynamic_transform(0x00) == 0x5A);
+static_assert(dynamic_transform(dynamic_transform(0xC3)) == 0xC3);
+
+TEST(Http, FillExpectedContentMatchesScalarFormula) {
+  const std::uint64_t seeds[] = {0, path_seed("/file_set/dir00001/class1_3"),
+                                 ~std::uint64_t{0}};
+  for (const auto seed : seeds) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      // Unaligned destinations: start at each of several byte offsets.
+      for (std::size_t skew = 0; skew < 4; ++skew) {
+        std::vector<std::uint8_t> buf(len + skew, 0xEE);
+        fill_expected_content(seed, std::span(buf).subspan(skew));
+        for (std::size_t k = 0; k < skew; ++k) ASSERT_EQ(buf[k], 0xEE);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(buf[skew + i], expected_content_byte(seed, i))
+              << "seed " << seed << " len " << len << " skew " << skew
+              << " i " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Http, ApplyDynamicTransformMatchesScalarFormula) {
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t skew = 0; skew < 4; ++skew) {
+      std::vector<std::uint8_t> buf(len + skew);
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        buf[i] = static_cast<std::uint8_t>(i * 7 + len);
+      }
+      const auto before = buf;
+      apply_dynamic_transform(std::span(buf).subspan(skew));
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        ASSERT_EQ(buf[i], i < skew ? before[i] : dynamic_transform(before[i]))
+            << "len " << len << " skew " << skew << " i " << i;
+      }
+    }
+  }
+}
+
+TEST(Http, ExpectedBodyMatchesScalarFormula) {
+  const std::string path = "/file_set/dir00002/class2_4";
+  const auto seed = path_seed(path);
+  const auto stat = expected_body(path, 1000, false);
+  const auto dyn = expected_body(path, 1000, true);
+  for (std::size_t i = 0; i < stat.size(); ++i) {
+    ASSERT_EQ(stat[i], expected_content_byte(seed, i));
+    ASSERT_EQ(dyn[i], dynamic_transform(expected_content_byte(seed, i)));
+  }
+}
+
 class ServerTest : public ::testing::TestWithParam<const char*> {
  protected:
   ServerTest()

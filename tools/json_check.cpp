@@ -504,7 +504,7 @@ bool check_micro(const std::string& file, const Value& root) {
       "BM_InjectRestoreInvalidate", "BM_ApiCallAlloc", "BM_ApiCallAllocObs",
       "BM_JournalAppend", "BM_ApiCallOpenReadClose", "BM_ColdReboot",
       "BM_SnapshotRestore", "BM_ControllerBuildCold", "BM_ControllerBuildWarm",
-      "BM_FaultloadSerialize"};
+      "BM_ControllerResetWarm", "BM_ServeRequest", "BM_FaultloadSerialize"};
   if (root.type != Value::Type::kObject) return fail(file, "root not object");
   const auto* ctx = root.find("context");
   if (!is_object(ctx)) return fail(file, "missing context{}");
@@ -556,6 +556,11 @@ bool check_micro(const std::string& file, const Value& root) {
         return fail(file, at + " BM_VmDispatch missing items_per_second");
       }
       saw_dispatch = true;
+    }
+    if (family == "BM_ServeRequest" &&
+        (!is_number(ips) || !is_number(b.find("bytes_per_second")))) {
+      return fail(file, at + " BM_ServeRequest missing items_per_second or "
+                             "bytes_per_second");
     }
   }
   if (!saw_dispatch) {
