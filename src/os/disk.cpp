@@ -45,17 +45,16 @@ std::optional<std::int64_t> SimDisk::size(int id) const {
   return static_cast<std::int64_t>(files_[static_cast<std::size_t>(id)]->size());
 }
 
-std::optional<std::int64_t> SimDisk::read(int id, std::int64_t offset,
-                                          std::uint8_t* dst, std::int64_t len) const {
+std::optional<std::span<const std::uint8_t>> SimDisk::view(
+    int id, std::int64_t offset, std::int64_t len) const {
   if (id < 0 || static_cast<std::size_t>(id) >= files_.size()) return std::nullopt;
   if (offset < 0 || len < 0) return std::nullopt;
   const auto& f = *files_[static_cast<std::size_t>(id)];
-  if (static_cast<std::size_t>(offset) >= f.size()) return 0;
+  if (static_cast<std::size_t>(offset) >= f.size()) {
+    return std::span<const std::uint8_t>{};
+  }
   const auto n = std::min<std::int64_t>(len, static_cast<std::int64_t>(f.size()) - offset);
-  // memcpy's pointer args are declared nonnull even for n == 0, and guests
-  // legally issue zero-length reads with a null buffer.
-  if (n > 0) std::memcpy(dst, f.data() + offset, static_cast<std::size_t>(n));
-  return n;
+  return std::span<const std::uint8_t>(f.data() + offset, static_cast<std::size_t>(n));
 }
 
 std::optional<std::int64_t> SimDisk::write(int id, std::int64_t offset,

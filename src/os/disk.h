@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,10 +34,11 @@ class SimDisk {
 
   std::optional<std::int64_t> size(int id) const;
 
-  /// Reads up to `len` bytes at `offset`; returns bytes read (0 at EOF) or
-  /// nullopt for a bad id/offset.
-  std::optional<std::int64_t> read(int id, std::int64_t offset,
-                                   std::uint8_t* dst, std::int64_t len) const;
+  /// Reads up to `len` bytes at `offset`, in place (empty at EOF), or
+  /// nullopt for a bad id/offset or a negative length. Valid until the file
+  /// is next written or truncated.
+  std::optional<std::span<const std::uint8_t>> view(int id, std::int64_t offset,
+                                                    std::int64_t len) const;
 
   /// Writes, extending the file as needed; returns bytes written.
   std::optional<std::int64_t> write(int id, std::int64_t offset,

@@ -46,6 +46,7 @@ Kernel::Kernel(OsVersion version)
       machine_(std::make_unique<vm::Machine>(lay::kMemSize)) {
   machine_->load_image(active_);
   install_machine_hooks();
+  resolve_api();
   reboot();
 }
 
@@ -56,6 +57,7 @@ Kernel::Kernel(const KernelSnapshot& snap)
       machine_(std::make_unique<vm::Machine>(lay::kMemSize)) {
   machine_->load_image(snap.active);  // registers the executable range
   install_machine_hooks();
+  resolve_api();
   restore_from(snap, /*full=*/true);
 }
 
@@ -135,6 +137,21 @@ std::uint64_t Kernel::api_addr(const std::string& name) const {
   const auto* sym = active_.find_symbol(name);
   if (sym == nullptr) throw std::out_of_range("no such API function: " + name);
   return sym->addr;
+}
+
+void Kernel::resolve_api() {
+  for (std::size_t i = 0; i < kNumApiFns; ++i) {
+    const auto* sym = pristine_.find_symbol(api_functions()[i].name);
+    api_addrs_[i] = sym != nullptr ? sym->addr : 0;
+  }
+}
+
+std::uint64_t Kernel::api_addr(ApiFn f) const {
+  const std::uint64_t addr = api_addrs_[static_cast<std::size_t>(f)];
+  if (addr == 0) {
+    throw std::out_of_range("no such API function: " + api_fn_name(f));
+  }
+  return addr;
 }
 
 void Kernel::reboot() {
@@ -260,18 +277,18 @@ vm::Trap Kernel::handle_syscall(vm::Machine& m, std::int32_t num) {
         m.set_reg(0, -1);
         return vm::Trap::kNone;
       }
-      std::vector<std::uint8_t> buf(static_cast<std::size_t>(len));
-      const auto n = disk_.read(id, off, buf.data(), len);
-      if (!n) {
+      const auto bytes = disk_.view(id, off, len);
+      if (!bytes) {
         m.set_reg(0, -1);
         return vm::Trap::kNone;
       }
-      // Copying into guest memory can fault if the guest passed a bad
-      // buffer (e.g. a mutated pointer) — surface that as a memory trap.
-      if (!m.write_bytes(dst, buf.data(), static_cast<std::size_t>(*n))) {
+      // Straight from the disk buffer into guest memory. A bad guest buffer
+      // (e.g. a mutated pointer) is checked on the bytes actually moved and
+      // surfaces as a memory trap.
+      if (!m.write_bytes(dst, bytes->data(), bytes->size())) {
         return vm::Trap::kBadMemory;
       }
-      m.set_reg(0, *n);
+      m.set_reg(0, static_cast<std::int64_t>(bytes->size()));
       return vm::Trap::kNone;
     }
     case lay::kSysDiskWrite: {
@@ -283,11 +300,11 @@ vm::Trap Kernel::handle_syscall(vm::Machine& m, std::int32_t num) {
         m.set_reg(0, -1);
         return vm::Trap::kNone;
       }
-      std::vector<std::uint8_t> buf(static_cast<std::size_t>(len));
-      if (!m.read_bytes(src, buf.data(), buf.size())) {
-        return vm::Trap::kBadMemory;
-      }
-      const auto n = disk_.write(id, off, buf.data(), len);
+      // The guest range is checked before the id/offset, as the disk write
+      // reads it in place.
+      const auto bytes = m.guest_bytes(src, static_cast<std::size_t>(len));
+      if (!bytes) return vm::Trap::kBadMemory;
+      const auto n = disk_.write(id, off, bytes->data(), len);
       m.set_reg(0, n ? *n : -1);
       return vm::Trap::kNone;
     }

@@ -10,6 +10,7 @@
 // for scanner input and byte-exact restore checks.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -121,6 +122,9 @@ class Kernel {
 
   /// Address of a public API function (throws std::out_of_range if absent).
   std::uint64_t api_addr(const std::string& name) const;
+  /// The same for a compile-time id, from a table resolved once when the
+  /// kernel was built (the hot path of every OsApi wrapper).
+  std::uint64_t api_addr(ApiFn f) const;
 
   /// Re-initializes guest OS state (heap free list, handle table, page
   /// table) without touching the disk — the equivalent of an OS reboot
@@ -149,6 +153,8 @@ class Kernel {
  private:
   vm::Trap handle_syscall(vm::Machine& m, std::int32_t num);
   void install_machine_hooks();
+  /// Fills api_addrs_ from the pristine image (mutation never moves symbols).
+  void resolve_api();
   /// Full boot: zero the kernel data region, run heap_init/vm_init. Records
   /// the BootReplay on the first successful run.
   void cold_boot();
@@ -174,6 +180,7 @@ class Kernel {
   std::uint64_t pristine_digest_ = 0;
   isa::Image active_;
   std::unique_ptr<vm::Machine> machine_;
+  std::array<std::uint64_t, kNumApiFns> api_addrs_{};  ///< 0 = not in image
   std::shared_ptr<const BootReplay> boot_;  ///< set by the first cold boot
   /// The snapshot the machine's dirty bitmap is relative to (null for a
   /// cold-built kernel); reset() requires it.

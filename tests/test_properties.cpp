@@ -5,12 +5,16 @@
 //     sequences, on both OS versions,
 //   - every mutation operator preserves the faultload's structural
 //     invariants on every fault it generates,
-//   - mutated code can never escape the VM's containment.
+//   - mutated code can never escape the VM's containment,
+//   - the gfcheck VM fuzzer's programs reach every fused dispatch token.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 #include <sstream>
 
+#include "check/check.h"
 #include "check/progen.h"
 #include "minic/compiler.h"
 #include "os/api.h"
@@ -27,6 +31,26 @@ namespace {
 // Random program generation lives in src/check (check::ProgramGen) — shared
 // with the gfcheck differential fuzzer engines.
 using check::ProgramGen;
+
+TEST(FuzzerCoverage, GfcheckProgramsCarryEveryFusedToken) {
+  // The VM fuzzer (src/check/vmdiff.cpp) only proves fusion invisible for
+  // tokens its programs contain. Rebuild the programs of CI's budget
+  // (`gfcheck --seed 1 --cases 50`) exactly as the engine does and demand
+  // every fused token somewhere in the table.
+  std::map<std::string, std::size_t> total;
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    util::Rng rng(check::case_seed(1, i));
+    ProgramGen gen(rng);
+    const auto img = minic::compile(gen.generate(), "p", 0x1000);
+    vm::Machine m(1u << 20);
+    m.load_image(img);
+    for (const auto& [token, n] : m.fused_token_census()) total[token] += n;
+  }
+  ASSERT_FALSE(total.empty());
+  for (const auto& [token, n] : total) {
+    EXPECT_GT(n, 0u) << "no gfcheck program contains fused token " << token;
+  }
+}
 
 class RandomProgramTest : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramTest, ::testing::Range(0, 24));

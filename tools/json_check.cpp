@@ -499,8 +499,8 @@ bool check_micro(const std::string& file, const Value& root) {
   static const char* kFamilies[] = {
       "BM_VmDispatch", "BM_VmDispatchPredecoded", "BM_VmDispatchNoPredecode",
       "BM_VmDispatchNoFusion", "BM_VmDispatchTraceDisarmed",
-      "BM_VmDispatchProfiled",
-      "BM_MiniCCompileOs", "BM_FaultloadScan", "BM_InjectRestore",
+      "BM_VmDispatchProfiled", "BM_VmDispatchMiniC",
+      "BM_VmDispatchMiniCNoFusion", "BM_MiniCCompileOs", "BM_FaultloadScan", "BM_InjectRestore",
       "BM_InjectRestoreInvalidate", "BM_ApiCallAlloc", "BM_ApiCallAllocObs",
       "BM_JournalAppend", "BM_ApiCallOpenReadClose", "BM_ColdReboot",
       "BM_SnapshotRestore", "BM_ControllerBuildCold", "BM_ControllerBuildWarm",
@@ -556,6 +556,12 @@ bool check_micro(const std::string& file, const Value& root) {
         return fail(file, at + " BM_VmDispatch missing items_per_second");
       }
       saw_dispatch = true;
+    }
+    if ((family == "BM_VmDispatchMiniC" ||
+         family == "BM_VmDispatchMiniCNoFusion") &&
+        !is_number(ips)) {
+      return fail(file, at + " " + family +
+                            " missing items_per_second (retired instructions)");
     }
     if (family == "BM_ServeRequest" &&
         (!is_number(ips) || !is_number(b.find("bytes_per_second")))) {
