@@ -143,9 +143,9 @@ bool OsApi::write_bytes(std::uint64_t addr, const void* data, std::size_t n) {
   return kernel_.machine().write_bytes(addr, data, n);
 }
 
-bool OsApi::append_bytes(std::uint64_t addr, std::size_t n,
-                         std::vector<std::uint8_t>& out) const {
-  return kernel_.machine().append_bytes(addr, n, out);
+std::optional<std::span<const std::uint8_t>> OsApi::guest_bytes(
+    std::uint64_t addr, std::size_t n) const {
+  return kernel_.machine().guest_bytes(addr, n);
 }
 
 std::uint64_t OsApi::read_u64_or(std::uint64_t addr, std::uint64_t fallback) const {

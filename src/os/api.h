@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,10 +85,10 @@ class OsApi {
   bool write_wstr(std::uint64_t addr, const std::string& s);
   bool read_bytes(std::uint64_t addr, void* out, std::size_t n) const;
   bool write_bytes(std::uint64_t addr, const void* data, std::size_t n);
-  /// vm::Machine::append_bytes: the one way servers copy guest bytes into a
-  /// response body (bounds-checked before any host allocation).
-  bool append_bytes(std::uint64_t addr, std::size_t n,
-                    std::vector<std::uint8_t>& out) const;
+  /// vm::Machine::guest_bytes: checked read-only view of guest memory, the
+  /// source of every response body (web::append_body).
+  std::optional<std::span<const std::uint8_t>> guest_bytes(
+      std::uint64_t addr, std::size_t n) const;
   std::uint64_t read_u64_or(std::uint64_t addr, std::uint64_t fallback) const;
 
   /// Scratch slots the BT may use for marshalling (within layout::kScratch).

@@ -1,6 +1,7 @@
 #include "spec/fileset.h"
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "web/http.h"
 
@@ -11,7 +12,7 @@ std::size_t Fileset::file_size(int size_class, int j) {
     case 0: return static_cast<std::size_t>(256 * (j + 1));        // ~1 KiB
     case 1: return static_cast<std::size_t>(3584 * (j + 1));       // ~17.5 KiB
     case 2: return static_cast<std::size_t>(6 * 1024 * (j + 1));   // ~30 KiB
-    default: return 64 * 1024;                                      // capped
+    default: return web::kMaxBody;                                  // capped
   }
 }
 
@@ -28,6 +29,11 @@ Fileset::Fileset(os::SimDisk& disk, const FilesetConfig& cfg, bool populate) {
         char path[64];
         std::snprintf(path, sizeof path, "/file_set/dir%05d/class%d_%d", d, c, j);
         const auto size = file_size(c, j);
+        // Servers serve at most kMaxBody bytes (web::append_body).
+        if (size > web::kMaxBody) {
+          throw std::invalid_argument(std::string("fileset file larger than "
+                                                  "web::kMaxBody: ") + path);
+        }
         if (populate) {
           std::vector<std::uint8_t> content(size);
           web::fill_expected_content(web::path_seed(path), content);

@@ -36,6 +36,8 @@ class Fileset {
   /// the servers expect). With populate == false only the metadata
   /// (files()/class_members()) is rebuilt and the disk is untouched — used
   /// when the disk content already comes from a warm-boot snapshot.
+  /// Throws std::invalid_argument when `cfg` lays out a file larger than
+  /// web::kMaxBody, which no server could serve whole.
   Fileset(os::SimDisk& disk, const FilesetConfig& cfg = {}, bool populate = true);
 
   const std::vector<FileInfo>& files() const noexcept { return files_; }

@@ -592,14 +592,6 @@ std::optional<std::span<const std::uint8_t>> Machine::guest_bytes(
   return std::span<const std::uint8_t>(mem_.data() + addr, n);
 }
 
-bool Machine::append_bytes(std::uint64_t addr, std::size_t n,
-                           std::vector<std::uint8_t>& out) const {
-  const auto bytes = guest_bytes(addr, n);
-  if (!bytes) return false;
-  out.insert(out.end(), bytes->begin(), bytes->end());
-  return true;
-}
-
 bool Machine::write_bytes(std::uint64_t addr, const void* data, std::size_t n) noexcept {
   if (n == 0) return true;
   const GuestMem g = guest_mem();

@@ -207,12 +207,6 @@ class Machine {
   /// Bulk helpers for syscall handlers; false when any byte is unmapped.
   bool read_bytes(std::uint64_t addr, void* out, std::size_t n) const noexcept;
   bool write_bytes(std::uint64_t addr, const void* data, std::size_t n) noexcept;
-  /// Appends the `n` bytes at `addr` to `out`. The range is checked before
-  /// anything is allocated, so a guest-supplied count never sizes a host
-  /// buffer: false, with `out` untouched, when any byte is unmapped. One
-  /// insert, no zero-fill. n == 0 is always true, like read_bytes.
-  bool append_bytes(std::uint64_t addr, std::size_t n,
-                    std::vector<std::uint8_t>& out) const;
   /// Checked read-only view of the `n` bytes at `addr`, under read_bytes'
   /// rules (n == 0 always succeeds): nullopt when any byte is unmapped.
   /// Valid until the next guest write.

@@ -15,7 +15,6 @@ namespace {
 
 constexpr std::int64_t kBufSize = 36 * 1024;
 constexpr std::int64_t kChunk = 4096;
-constexpr std::size_t kMaxBody = 64 * 1024;
 
 class AbyssalServer final : public WebServer {
  public:
@@ -95,7 +94,7 @@ class AbyssalServer final : public WebServer {
     while (resp.body.size() < kMaxBody) {
       const auto rd = die_on_crash(api().nt_read_file(h, data, kChunk));
       if (rd.value <= 0) break;  // any error is treated like EOF
-      if (!api().append_bytes(data, static_cast<std::size_t>(rd.value), resp.body)) {
+      if (!append_body(api(), data, static_cast<std::size_t>(rd.value), resp.body)) {
         // Reading through a bad buffer pointer: the process dereferenced
         // garbage memory.
         throw ServerDeath{};

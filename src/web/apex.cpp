@@ -28,7 +28,6 @@ constexpr int kIntegrityPeriod = 32;       // requests between pool checks
 constexpr int kAuditPeriod = 64;           // requests between config audits
 constexpr int kMaxConsecutiveFailures = 12;
 constexpr std::size_t kCacheEntries = 192;
-constexpr std::size_t kMaxBody = 64 * 1024;
 
 class ApexServer final : public WebServer {
  public:
@@ -284,7 +283,7 @@ class ApexServer final : public WebServer {
       api().rtl_free(ctx);
       throw RequestAbort{};
     }
-    if (!api().append_bytes(data, static_cast<std::size_t>(rd.value), resp.body)) {
+    if (!append_body(api(), data, static_cast<std::size_t>(rd.value), resp.body)) {
       hang_check(api().nt_close(h));
       api().rtl_free(ctx);
       throw RequestAbort{};

@@ -35,6 +35,11 @@ struct Response {
   std::vector<std::uint8_t> body;
 };
 
+/// Largest file a server serves (spec::Fileset's largest class). Servers
+/// read until the body reaches it; append_body (web/server.h) caps a body
+/// one byte past it.
+inline constexpr std::size_t kMaxBody = 64 * 1024;
+
 /// Deterministic content function for workload files: byte i of the file at
 /// `path` is expected_content_byte(path_seed(path), i).
 std::uint64_t path_seed(const std::string& path);

@@ -1,5 +1,6 @@
 #include "web/server.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace gf::web {
@@ -13,6 +14,16 @@ const char* server_state_name(ServerState s) noexcept {
     case ServerState::kSpinning: return "spinning";
   }
   return "?";
+}
+
+bool append_body(const os::OsApi& api, std::uint64_t addr, std::size_t n,
+                 std::vector<std::uint8_t>& body) {
+  const auto bytes = api.guest_bytes(addr, n);
+  if (!bytes) return false;
+  const auto room = kMaxBody + 1 - std::min(body.size(), kMaxBody + 1);
+  const auto take = std::min(bytes->size(), room);
+  body.insert(body.end(), bytes->begin(), bytes->begin() + take);
+  return true;
 }
 
 bool WebServer::start() {

@@ -161,6 +161,16 @@ class WebServer {
   std::uint64_t last_cycles_ = 0;
 };
 
+/// Appends the response-body bytes at guest [addr, addr + n) to `body`, the
+/// one guest-to-body copy of every server's read loop. The whole range is
+/// bounds-checked: false, with `body` untouched, when any byte is unmapped
+/// (each server's bad-read path). A valid range is appended only up to
+/// kMaxBody + 1 bytes of body, so a faulty OS that reports a huge read
+/// count costs at most one over-long body, which the client rejects on its
+/// size alone. n == 0 is always true.
+bool append_body(const os::OsApi& api, std::uint64_t addr, std::size_t n,
+                 std::vector<std::uint8_t>& body);
+
 /// Factory for the four case-study servers by name ("apex", "abyssal",
 /// "sambar", "savant"); throws std::invalid_argument for unknown names.
 std::unique_ptr<WebServer> make_server(const std::string& name, os::OsApi& api);

@@ -16,7 +16,6 @@ namespace gf::web {
 namespace {
 
 constexpr std::int64_t kChunk = 4096;
-constexpr std::size_t kMaxBody = 64 * 1024;
 
 class SambarServer final : public WebServer {
  public:
@@ -101,7 +100,7 @@ class SambarServer final : public WebServer {
       }
       const auto n = api().read_u64_or(os::OsApi::kOutSlot, 0);
       if (n == 0) break;
-      if (!api().append_bytes(data_buf_, n, resp.body)) {
+      if (!append_body(api(), data_buf_, n, resp.body)) {
         throw ServerDeath{};
       }
       if (n < static_cast<std::uint64_t>(kChunk)) break;
@@ -256,8 +255,8 @@ class SavantServer final : public WebServer {
         return Response{500, {}};
       }
       if (rd.value == 0) break;
-      if (!api().append_bytes(data_buf_, static_cast<std::size_t>(rd.value),
-                              resp.body)) {
+      if (!append_body(api(), data_buf_, static_cast<std::size_t>(rd.value),
+                       resp.body)) {
         throw ServerDeath{};
       }
       if (rd.value < 2048) break;

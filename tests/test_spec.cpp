@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 #include "os/api.h"
 #include "os/kernel.h"
@@ -36,8 +37,19 @@ TEST(FilesetTest, FilesExistOnDiskWithExpectedContent) {
 
 TEST(FilesetTest, SizesFollowClassRule) {
   EXPECT_EQ(Fileset::file_size(0, 0), 256u);
-  EXPECT_EQ(Fileset::file_size(3, 5), 64u * 1024u);
-  EXPECT_LT(Fileset::file_size(2, 8), 64u * 1024u);  // fits the body cap
+  EXPECT_EQ(Fileset::file_size(3, 5), web::kMaxBody);
+  EXPECT_LT(Fileset::file_size(2, 8), web::kMaxBody);
+}
+
+TEST(FilesetTest, NoFileExceedsMaxBody) {
+  // web::append_body's cap is invisible to the client only while every
+  // file fits in kMaxBody bytes.
+  os::SimDisk disk;
+  Fileset fs(disk);
+  for (const auto& f : fs.files()) EXPECT_LE(f.size, web::kMaxBody) << f.path;
+  // A layout whose class-2 files outgrow the bound is refused.
+  os::SimDisk other;
+  EXPECT_THROW(Fileset(other, {1, 11}), std::invalid_argument);
 }
 
 TEST(FilesetTest, MeanSizeNearSpecWebScale) {

@@ -437,56 +437,6 @@ TEST(Vm, NegativeGuestPointersCannotWrapTheBoundsCheck) {
             Trap::kBadMemory);
 }
 
-
-TEST(Vm, AppendBytesChecksBoundsBeforeAllocating) {
-  // A guest-controlled count must never size a host buffer: a huge count
-  // and a range straddling the end of memory both fail with `out` intact.
-  Machine m;
-  const std::vector<std::uint8_t> prefix = {1, 2, 3};
-  auto out = prefix;
-  EXPECT_FALSE(m.append_bytes(0x2000, std::size_t{1} << 62, out));
-  EXPECT_EQ(out, prefix);
-  EXPECT_FALSE(m.append_bytes(m.mem_size() - 8, 16, out));
-  EXPECT_EQ(out, prefix);
-  EXPECT_FALSE(m.append_bytes(static_cast<std::uint64_t>(-8), 8, out));
-  EXPECT_EQ(out, prefix);
-}
-
-TEST(Vm, AppendBytesEdgeCases) {
-  Machine m;
-  std::vector<std::uint8_t> out;
-  // n == 0 succeeds at any address and changes nothing, like read_bytes.
-  std::uint8_t scratch = 0;
-  for (const std::uint64_t addr :
-       {std::uint64_t{0}, std::uint64_t{0x10}, std::uint64_t{m.mem_size()},
-        static_cast<std::uint64_t>(-1)}) {
-    EXPECT_TRUE(m.append_bytes(addr, 0, out));
-    EXPECT_TRUE(m.read_bytes(addr, &scratch, 0));
-  }
-  EXPECT_TRUE(out.empty());
-  // The null page is unmapped.
-  EXPECT_FALSE(m.append_bytes(0x10, 4, out));
-  EXPECT_FALSE(m.append_bytes(Machine::kNullPageSize - 1, 2, out));
-  EXPECT_TRUE(out.empty());
-  // A read ending exactly at the end of memory succeeds and appends.
-  const std::uint8_t tail[4] = {9, 8, 7, 6};
-  const auto end = m.mem_size();
-  ASSERT_TRUE(m.write_bytes(end - 4, tail, 4));
-  out = {5};
-  EXPECT_TRUE(m.append_bytes(end - 4, 4, out));
-  EXPECT_EQ(out, (std::vector<std::uint8_t>{5, 9, 8, 7, 6}));
-  // One byte past it fails and leaves `out` as it was.
-  EXPECT_FALSE(m.append_bytes(end - 4, 5, out));
-  EXPECT_FALSE(m.append_bytes(end, 1, out));
-  EXPECT_EQ(out.size(), 5u);
-  // Successive appends concatenate, as the servers' chunked reads rely on.
-  ASSERT_TRUE(m.write_bytes(0x3000, "abcdef", 6));
-  out.clear();
-  EXPECT_TRUE(m.append_bytes(0x3000, 3, out));
-  EXPECT_TRUE(m.append_bytes(0x3003, 3, out));
-  EXPECT_EQ(std::string(out.begin(), out.end()), "abcdef");
-}
-
 // --- fused triples and push-headed pairs ------------------------------------
 //
 // PushLd, MovPopAlu and LdMovIAlu against fusion-off: every budget stop, trap,

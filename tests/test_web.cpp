@@ -2,6 +2,8 @@
 // including their differentiated behaviour under injected OS faults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "os/api.h"
 #include "os/kernel.h"
 #include "spec/client.h"
@@ -280,6 +282,191 @@ TEST(FaultDifferentiation, HarnessSurvivesFullSweepOnEveryServer) {
     const auto impact = run_fault_sweep(name, 23);
     (void)impact;  // no crash of the host process is the assertion
   }
+}
+
+// --- the response-body cap ---------------------------------------------------
+//
+// append_body bounds-checks the whole guest range a server read into, then
+// keeps at most kMaxBody + 1 bytes of body: a longer body already fails the
+// client's size check, so the cap changes no observable result.
+
+class AppendBody : public ::testing::Test {
+ protected:
+  AppendBody() : kernel_(os::OsVersion::kVos2000), api_(kernel_) {}
+
+  vm::Machine& m() { return kernel_.machine(); }
+  /// The `n` guest bytes at `addr`, copied.
+  std::vector<std::uint8_t> guest(std::uint64_t addr, std::size_t n) {
+    const auto v = api_.guest_bytes(addr, n);
+    return v ? std::vector<std::uint8_t>(v->begin(), v->end())
+             : std::vector<std::uint8_t>{};
+  }
+
+  os::Kernel kernel_;
+  os::OsApi api_;
+};
+
+TEST_F(AppendBody, ChecksBoundsBeforeAllocating) {
+  // A guest-controlled count must never size a host buffer: a huge count
+  // and a range straddling the end of memory both fail with `out` intact.
+  const std::vector<std::uint8_t> prefix = {1, 2, 3};
+  auto out = prefix;
+  EXPECT_FALSE(append_body(api_, 0x2000, std::size_t{1} << 62, out));
+  EXPECT_EQ(out, prefix);
+  EXPECT_FALSE(append_body(api_, m().mem_size() - 8, 16, out));
+  EXPECT_EQ(out, prefix);
+  EXPECT_FALSE(append_body(api_, static_cast<std::uint64_t>(-8), 8, out));
+  EXPECT_EQ(out, prefix);
+  // The cap never shortens the checked range: a count that ends past
+  // memory fails even when only the first bytes would be kept.
+  EXPECT_FALSE(append_body(api_, os::layout::kHeapArena, m().mem_size(), out));
+  EXPECT_EQ(out, prefix);
+}
+
+TEST_F(AppendBody, EdgeCases) {
+  std::vector<std::uint8_t> out;
+  // n == 0 succeeds at any address and changes nothing, like read_bytes.
+  std::uint8_t scratch = 0;
+  for (const std::uint64_t addr :
+       {std::uint64_t{0}, std::uint64_t{0x10}, std::uint64_t{m().mem_size()},
+        static_cast<std::uint64_t>(-1)}) {
+    EXPECT_TRUE(append_body(api_, addr, 0, out));
+    EXPECT_TRUE(m().read_bytes(addr, &scratch, 0));
+  }
+  EXPECT_TRUE(out.empty());
+  // The null page is unmapped.
+  EXPECT_FALSE(append_body(api_, 0x10, 4, out));
+  EXPECT_FALSE(append_body(api_, vm::Machine::kNullPageSize - 1, 2, out));
+  EXPECT_TRUE(out.empty());
+  // A read ending exactly at the end of memory succeeds and appends.
+  const std::uint8_t tail[4] = {9, 8, 7, 6};
+  const auto end = m().mem_size();
+  ASSERT_TRUE(m().write_bytes(end - 4, tail, 4));
+  out = {5};
+  EXPECT_TRUE(append_body(api_, end - 4, 4, out));
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{5, 9, 8, 7, 6}));
+  // One byte past it fails and leaves `out` as it was.
+  EXPECT_FALSE(append_body(api_, end - 4, 5, out));
+  EXPECT_FALSE(append_body(api_, end, 1, out));
+  EXPECT_EQ(out.size(), 5u);
+  // Successive appends concatenate, as the servers' chunked reads rely on.
+  ASSERT_TRUE(m().write_bytes(os::OsApi::kStructSlot, "abcdef", 6));
+  out.clear();
+  EXPECT_TRUE(append_body(api_, os::OsApi::kStructSlot, 3, out));
+  EXPECT_TRUE(append_body(api_, os::OsApi::kStructSlot + 3, 3, out));
+  EXPECT_EQ(std::string(out.begin(), out.end()), "abcdef");
+}
+
+TEST_F(AppendBody, BodiesUpToMaxBodyAreCopiedWhole) {
+  const auto src = os::layout::kHeapArena;
+  // One read of exactly kMaxBody bytes.
+  std::vector<std::uint8_t> out;
+  ASSERT_TRUE(append_body(api_, src, kMaxBody, out));
+  EXPECT_EQ(out, guest(src, kMaxBody));
+  // The same bytes in 4 KiB chunks, as abyssal and sambar read them.
+  std::vector<std::uint8_t> chunked;
+  for (std::size_t off = 0; off < kMaxBody; off += 4096) {
+    ASSERT_TRUE(append_body(api_, src + off, 4096, chunked));
+  }
+  EXPECT_EQ(chunked, out);
+}
+
+TEST_F(AppendBody, CapsAtMaxBodyPlusOne) {
+  const auto src = os::layout::kHeapArena;
+  const auto full = guest(src, kMaxBody + 1);
+  // A pointer-sized read count, as a mutated NtReadFile reports: the whole
+  // 4 MiB range is valid, one byte past kMaxBody is kept.
+  std::vector<std::uint8_t> out;
+  ASSERT_TRUE(append_body(api_, src, std::size_t{4} << 20, out));
+  EXPECT_EQ(out, full);
+  // A chunk that overshoots the bound mid-body is cut at it.
+  out = guest(src, 60000);
+  ASSERT_TRUE(append_body(api_, src + 60000, 8192, out));
+  EXPECT_EQ(out, full);
+  // A capped body takes no more bytes but still reports valid reads...
+  ASSERT_TRUE(append_body(api_, src, 4096, out));
+  EXPECT_EQ(out, full);
+  // ...and invalid ones.
+  EXPECT_FALSE(append_body(api_, m().mem_size() - 8, 16, out));
+  EXPECT_EQ(out, full);
+}
+
+TEST(ResponseBodyCap, ClientRejectsMaxBodyPlusOneForEveryFile) {
+  // The capped body a faulty read leaves behind starts with the right
+  // content, so only its size can reject it — for every file and mode.
+  os::SimDisk disk;
+  spec::Fileset fileset(disk);
+  for (const auto& f : fileset.files()) {
+    for (const bool dynamic : {false, true}) {
+      Request req;
+      req.path = f.path;
+      req.dynamic = dynamic;
+      Response resp{200, expected_body(f.path, kMaxBody + 1, dynamic)};
+      EXPECT_FALSE(spec::SpecClient::validate(req, resp, f.size))
+          << f.path << " dynamic=" << dynamic;
+      resp.body.resize(f.size);
+      EXPECT_TRUE(spec::SpecClient::validate(req, resp, f.size))
+          << f.path << " dynamic=" << dynamic;
+    }
+  }
+}
+
+/// FNV-1a over 64-bit words.
+void mix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ULL;
+  }
+}
+
+TEST(ResponseBodyCap, OverlongNtReadFileUnderAbyssalIsPinned) {
+  // The two VOS-XP NtReadFile MLPC faults that make NtReadFile report a
+  // read count far above any file size; abyssal trusts it. The cap must
+  // leave every client-visible outcome as it was without the cap: the
+  // digest was recorded with uncapped bodies.
+  os::Kernel kernel(os::OsVersion::kVosXp);
+  os::OsApi api(kernel);
+  spec::Fileset fileset(kernel.disk());
+  auto server = make_server("abyssal", api);
+  const auto fl =
+      swfit::Scanner{}.scan(kernel.pristine_image(), {std::string("NtReadFile")});
+  swfit::Injector injector(kernel);
+  std::int64_t max_read = 0;
+  api.set_post_call_hook([&](const std::string& name, const os::ApiResult& r) {
+    if (name == "NtReadFile" && r.completed) max_read = std::max(max_read, r.value);
+  });
+
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  for (const std::uint64_t addr : {0x12ed8u, 0x12fa8u}) {
+    const auto fault = std::find_if(
+        fl.faults.begin(), fl.faults.end(), [&](const swfit::FaultLocation& f) {
+          return f.type == swfit::FaultType::kMLPC && f.addr == addr;
+        });
+    ASSERT_NE(fault, fl.faults.end()) << std::hex << addr;
+    kernel.reboot();
+    ASSERT_TRUE(server->start());
+    spec::WorkloadGenerator gen(fileset, 11);
+    for (int op = 0; op < 40; ++op) server->handle(gen.next());
+    ASSERT_EQ(server->state(), ServerState::kRunning);
+    ASSERT_TRUE(injector.inject(*fault));
+    max_read = 0;
+    int overlong = 0;
+    for (int op = 0; op < 80; ++op) {
+      const auto req = gen.next();
+      const auto resp = server->handle(req);
+      const bool ok = spec::SpecClient::validate(req, resp, gen.size_of(req.path));
+      overlong += resp.body.size() > kMaxBody;
+      mix(digest, static_cast<std::uint64_t>(resp.status));
+      mix(digest, static_cast<std::uint64_t>(server->state()));
+      mix(digest, ok);
+      mix(digest, server->last_request_cycles());
+    }
+    EXPECT_GT(max_read, static_cast<std::int64_t>(kMaxBody)) << std::hex << addr;
+    EXPECT_GT(overlong, 0) << std::hex << addr;
+    injector.restore();
+    server->stop();
+  }
+  EXPECT_EQ(digest, 0xAA8D14421901CC83ULL);
 }
 
 }  // namespace
