@@ -6,8 +6,6 @@
 # snapshot speedup (BENCH_snapshot.json): the micro-level cold-reboot vs
 # snapshot-restore ratio plus an end-to-end quick campaign A/B with
 # --cold-boot (results are bit-identical; only wall time differs), and the
-# work-stealing scheduler A/B (BENCH_sched.json): chunked + stealing vs the
-# static sharder on a skewed faultload, artifacts byte-compared, and the
 # campaign-store A/B (BENCH_store.json): cold vs all-hit resume vs
 # incremental re-run after a one-fault-type edit, artifacts byte-compared.
 #
@@ -19,7 +17,6 @@ OUT=${2:-BENCH_micro.json}
 ACT_OUT=${ACT_OUT:-BENCH_activation.json}
 SNAP_OUT=${SNAP_OUT:-BENCH_snapshot.json}
 OBS_OUT=${OBS_OUT:-BENCH_obs.json}
-SCHED_OUT=${SCHED_OUT:-BENCH_sched.json}
 STORE_OUT=${STORE_OUT:-BENCH_store.json}
 [ $# -ge 1 ] && shift
 [ $# -ge 1 ] && shift
@@ -45,9 +42,8 @@ if [ "$BUILD_TYPE" != "Release" ]; then
   exit 1
 fi
 
-for bin in bench/micro_substrate bench/table5_campaign bench/campaign_steal \
-           bench/campaign_resume tools/json_check tools/gfbench \
-           tools/bench_diff tools/gfcheck; do
+for bin in bench/micro_substrate bench/table5_campaign bench/campaign_resume \
+           tools/json_check tools/gfbench tools/bench_diff tools/gfcheck; do
   if [ ! -x "$BUILD_DIR/$bin" ]; then
     echo "error: $BUILD_DIR/$bin not built" \
          "(cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=Release &&" \
@@ -61,7 +57,7 @@ done
 # (ratio metrics only, tolerance BENCH_DIFF_TOL, default 15%). Set
 # BENCH_DIFF=0 to record a fresh trajectory point without gating.
 BASE_DIR=$(mktemp -d)
-for f in "$OUT" "$SNAP_OUT" "$OBS_OUT" "$SCHED_OUT" "$STORE_OUT"; do
+for f in "$OUT" "$SNAP_OUT" "$OBS_OUT" "$STORE_OUT"; do
   [ -f "$f" ] && cp "$f" "$BASE_DIR/$(basename "$f")"
 done
 
@@ -167,7 +163,8 @@ t0=$(now_ms)
   --metrics-json "$OBS_DIR/manifest.json" \
   --journal-out "$OBS_DIR/journal.jsonl" \
   --chrome-trace "$OBS_DIR/trace.json" \
-  --html-report "$OBS_DIR/report.html" > /dev/null 2>&1
+  --html-report "$OBS_DIR/report.html" \
+  --sched-json "$OBS_DIR/sched.json" > /dev/null 2>&1
 obs_ms=$(( $(now_ms) - t0 ))
 
 {
@@ -180,14 +177,6 @@ obs_ms=$(( $(now_ms) - t0 ))
   echo "}"
 } > "$OBS_OUT"
 echo "obs overhead written to $OBS_OUT" >&2
-
-# Scheduler A/B (BM_CampaignSteal): the same skewed campaign through the
-# static sharder and the work-stealing chunked scheduler at 8 workers. The
-# bench exits non-zero if the two schedules' artifacts are not byte-identical,
-# and records both wall time and the host-load-independent thread-CPU
-# makespan (acceptance bar: makespan_speedup >= 1.3 on the skewed faultload).
-"$BUILD_DIR/bench/campaign_steal" --out "$SCHED_OUT" 2> /dev/null
-echo "scheduler A/B written to $SCHED_OUT" >&2
 
 # Campaign-store A/B (BM_CampaignResume / BM_CampaignIncremental): the same
 # campaign cold, resumed against the populated store (all hits), and after a
@@ -225,7 +214,7 @@ echo "gfcheck fuzz budget ok (${GFCHECK_CASES:-25} cases/engine)" >&2
 # loudly here instead of producing quietly-broken dashboards downstream.
 "$BUILD_DIR/tools/json_check" "$ACT_OUT" "$SNAP_OUT" "$OBS_OUT"
 "$BUILD_DIR/tools/json_check" --schema micro "$OUT"
-"$BUILD_DIR/tools/json_check" --schema sched "$SCHED_OUT"
+"$BUILD_DIR/tools/json_check" --schema sched "$OBS_DIR/sched.json"
 "$BUILD_DIR/tools/json_check" --schema store "$STORE_OUT"
 "$BUILD_DIR/tools/json_check" --schema manifest "$OBS_DIR/manifest.json"
 "$BUILD_DIR/tools/json_check" --schema manifest "$OBS_DIR/pmanifest.json"
@@ -240,7 +229,7 @@ echo "artifact validation ok" >&2
 # machine-dependent and informational. BENCH_micro.json is all absolute
 # timings, so it records the trajectory but never gates.
 if [ "${BENCH_DIFF:-1}" != "0" ]; then
-  for f in "$SNAP_OUT" "$OBS_OUT" "$SCHED_OUT" "$STORE_OUT"; do
+  for f in "$SNAP_OUT" "$OBS_OUT" "$STORE_OUT"; do
     base="$BASE_DIR/$(basename "$f")"
     [ -f "$base" ] || continue
     "$BUILD_DIR/tools/bench_diff" "$base" "$f" \

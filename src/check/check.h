@@ -3,7 +3,7 @@
 // Three engines, each a deterministic function of a 64-bit case seed:
 //
 //   matrix    — samples a random small campaign (random faultload subset,
-//               random RunnerOptions across jobs/chunk/steal/fusion/
+//               random RunnerOptions across jobs/chunk/fusion/
 //               warm-boot/store usage) and asserts the repo's determinism
 //               contract: the merged manifest, journal, activation records
 //               and profiles are byte-identical to a jobs=1 reference, the

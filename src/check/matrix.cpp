@@ -3,9 +3,9 @@
 // Samples a random small campaign — one (OS version, server) cell, a random
 // faultload subset, random iterations/stride/windows — and executes it twice:
 // once at the jobs=1 reference shape and once at a random parallel shape
-// (jobs, chunk size or equal-chunk split, steal, fusion). The repo-wide
-// determinism contract says scheduling shape must be unobservable in every
-// deterministic artifact, so the oracle is plain byte equality:
+// (jobs, chunk size, fusion). The repo-wide determinism contract says
+// scheduling shape must be unobservable in every deterministic artifact, so
+// the oracle is plain byte equality:
 //
 //   manifest JSON == journal JSONL == activation JSONL/summary ==
 //   profile JSON == flamegraph == derived §3.2 metrics (exact doubles).
@@ -203,7 +203,6 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
   auto ref_opt = base;
   ref_opt.jobs = 1;
   ref_opt.chunk = 0;
-  ref_opt.steal = true;
   ref_opt.fusion = true;
 
   // Random parallel shape: every scheduling/strategy knob the contract says
@@ -212,10 +211,6 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
   var_opt.jobs = 2 + static_cast<int>(rng.bounded(3));
   static const int kChunks[] = {0, 1, 2, 7};
   var_opt.chunk = kChunks[rng.bounded(4)];
-  if (var_opt.chunk == 0 && rng.chance(0.3)) {
-    var_opt.chunk = -(2 + static_cast<int>(rng.bounded(2)));  // equal chunks
-  }
-  var_opt.steal = rng.chance(0.7);
   var_opt.fusion = rng.chance(0.5);
 
   depbench::CampaignRunner ref_runner(ref_opt);
@@ -225,7 +220,6 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
   const std::string shape =
       "jobs=" + std::to_string(var_opt.jobs) +
       " chunk=" + std::to_string(var_opt.chunk) +
-      " steal=" + std::to_string(var_opt.steal) +
       " fusion=" + std::to_string(var_opt.fusion) +
       " warm=" + std::to_string(var_opt.warm_boot);
 

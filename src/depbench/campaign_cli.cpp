@@ -135,8 +135,6 @@ const Flag kFlags[] = {
      set_int<&RunnerOptions::jobs, 0>},
     {"chunk", "N", "fault positions per chunk (0 = adaptive)",
      set_int<&RunnerOptions::chunk, 0>},
-    {"no-steal", nullptr, "static partition, no work stealing (A/B)",
-     clear_runner<&RunnerOptions::steal>},
     {"no-fusion", nullptr, "disable VM superinstruction fusion (A/B)",
      clear_runner<&RunnerOptions::fusion>},
     {"cold-boot", nullptr, "disable warm-boot snapshots (A/B)",
@@ -287,11 +285,10 @@ std::string run_campaign_cli(const CampaignArgs& args, CampaignRun& run) {
   }
   std::fprintf(stderr,
                "[campaign] %zu servers x %zu OS versions, stride %d, %d "
-               "iterations, jobs=%s, %s%s%s\n",
+               "iterations, jobs=%s%s%s\n",
                ropt.servers.size(), ropt.versions.size(), ropt.stride,
                ropt.iterations,
                ropt.jobs > 0 ? std::to_string(ropt.jobs).c_str() : "auto",
-               ropt.steal ? "work stealing" : "static partition",
                ropt.trace ? ", tracing on" : "",
                ropt.warm_boot ? ", warm boot" : ", cold boot");
   run.runner = std::make_unique<CampaignRunner>(std::move(ropt));

@@ -104,7 +104,7 @@ store::KeyBuilder cell_key_base(const RunnerOptions& opt,
   kb.f64(cl.conn_bandwidth_kbps).f64(cl.conforming_kbps);
   kb.f64(cl.max_error_pct).f64(cl.base_latency_ms).f64(cl.cycles_per_ms);
   kb.f64(cl.op_timeout_ms).f64(cl.error_latency_ms);
-  kb.u64(cl.validate_content ? 1 : 0).f64(cl.spc_batch_ms);
+  kb.f64(cl.spc_batch_ms);
   kb.u64(opt.seed).u64(stride).u64(positions);
   return kb;
 }
@@ -613,7 +613,6 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
 
   SchedOptions sopt;
   sopt.jobs = jobs;
-  sopt.steal = opt_.steal;
   sched_ = std::make_unique<SchedStats>(run_units(std::move(units), sopt));
   slots.clear();  // free every worker's controller before merge/render
   GF_INFO() << "campaign schedule: " << sched_->total_units << " units on "

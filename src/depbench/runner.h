@@ -47,15 +47,9 @@ struct RunnerOptions {
   int iterations = 3;
   int stride = 6;        ///< inject every k-th fault of the faultload
   /// Fault positions per chunk: > 0 forces a fixed size (--chunk), 0 lets
-  /// the cost model size chunks adaptively (see depbench/scheduler), and
-  /// -S asks for S equal chunks per iteration (API only: the static-sharder
-  /// side of BM_CampaignSteal and the fuzzer's shape draws). Results are
-  /// identical for any value.
+  /// the cost model size chunks adaptively (see depbench/scheduler).
+  /// Results are identical for any value.
   int chunk = 0;
-  /// Work stealing on (default). Off = static contiguous partition of the
-  /// chunk list across workers, no rebalancing — the A/B baseline for
-  /// BM_CampaignSteal. Results are byte-identical either way.
-  bool steal = true;
   /// Optional cost-model inputs (both may be null — the model falls back to
   /// per-fault-type activation priors). Borrowed, not owned.
   const ApiProfile* cost_profile = nullptr;
@@ -90,7 +84,7 @@ struct RunnerOptions {
   bool fusion = true;
   /// Observability: give every task a private TaskObs bundle and merge them
   /// at the join (CampaignRunner::campaign_obs()). The merged registry and
-  /// journal are byte-identical for any `jobs`, `chunk` or `steal` at a
+  /// journal are byte-identical for any `jobs` or `chunk` at a
   /// fixed seed; see CampaignObs for the contract.
   bool obs = false;
   /// Deterministic guest profiler: arm the VM's virtual-cycle PC sampler for
@@ -99,8 +93,9 @@ struct RunnerOptions {
   /// Samples tick only at retired architectural-step boundaries, so the
   /// merged profiles — and everything derived from them (--profile-json,
   /// flamegraphs, manifest section) — are byte-identical for any jobs,
-  /// chunk, steal, fusion, dispatch lowering or store-hit pattern. The
-  /// stride shapes results, so it IS part of the store key (unlike fusion).
+  /// chunk, steal interleaving, fusion, dispatch lowering or store-hit
+  /// pattern. The stride shapes results, so it IS part of the store key
+  /// (unlike fusion).
   bool profile = false;
   std::uint64_t profile_stride = 4096;
   /// Optional live progress reporter (rate-limited stderr, ETA). Never
@@ -149,7 +144,7 @@ struct TaskObsSlot {
 /// Determinism contract:
 ///   - For a fixed (seed, stride, time_scale) the merged registry JSON and
 ///     the slot-ordered journal JSONL are byte-identical for any `jobs`,
-///     `chunk` or `steal` value — slots are per *fault*, each a
+///     `chunk` value or steal interleaving — slots are per *fault*, each a
 ///     pure function of (seed, cell, iteration, schedule position), and the
 ///     merge folds them in slot order. Chunk boundaries never appear in any
 ///     artifact. tests/test_obs.cpp and tests/test_runner_steal.cpp check

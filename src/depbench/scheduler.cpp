@@ -8,7 +8,6 @@
 #include <exception>
 #include <map>
 #include <mutex>
-#include <numeric>
 #include <thread>
 
 #include "depbench/tuner.h"
@@ -40,8 +39,8 @@ std::int64_t millicost(double cost) {
   return static_cast<std::int64_t>(cost * 1000.0 + 0.5);
 }
 
-/// One worker's deque. Owner pops from the front (largest units first under
-/// LPT seeding), thieves take the back half. `rem` mirrors the queued
+/// One worker's deque. Owner pops from the front (its block in schedule
+/// order), thieves take the back half. `rem` mirrors the queued
 /// estimated cost; it is read lock-free as a victim-selection hint and only
 /// mutated under `mu`, so it can overstate but never dangles.
 struct WorkerDeque {
@@ -92,7 +91,6 @@ std::string SchedStats::to_json() const {
   using obs::json::number;
   std::string out = "{\n  \"schema\": \"genfault-sched/1\",\n";
   out += "  \"jobs\": " + std::to_string(workers.size()) + ",\n";
-  out += std::string("  \"steal\": ") + (steal ? "true" : "false") + ",\n";
   out += "  \"units\": " + std::to_string(total_units) + ",\n";
   out += "  \"wall_us\": " + number(wall_us) + ",\n";
   out += "  \"utilization\": " + number(utilization()) + ",\n";
@@ -119,62 +117,21 @@ std::string SchedStats::to_json() const {
 SchedStats run_units(std::vector<WorkUnit> units, const SchedOptions& opt) {
   SchedStats st;
   st.total_units = units.size();
-  st.steal = opt.steal;
   const auto wall0 = Clock::now();
 
   std::size_t jobs = std::max<std::size_t>(1, opt.jobs);
   if (!opt.seed_single_worker) jobs = std::min(jobs, std::max<std::size_t>(1, units.size()));
   st.workers.resize(jobs);
 
-  if (jobs <= 1 || units.empty()) {
-    auto& w = st.workers[0];
-    for (auto& u : units) {
-      const auto t0 = Clock::now();
-      const auto c0 = thread_cpu_us();
-      u.run(0);
-      w.busy_us += us_since(t0);
-      w.cpu_us += thread_cpu_us() - c0;
-      ++w.units;
-      w.est_cost += u.cost;
-    }
-    st.wall_us = us_since(wall0);
-    return st;
-  }
-
+  // Block seeding: worker w starts on one contiguous run of the unit list in
+  // construction order (cell-major), so it stays on about one cell and
+  // resets that cell's Controller in place instead of rebuilding it. The
+  // seed is a pure function of the unit count; only steals depend on timing.
   std::vector<WorkerDeque> dq(jobs);
-  auto seed = [&](std::size_t worker, std::size_t unit) {
-    dq[worker].q.push_back(unit);
-    dq[worker].rem.fetch_add(millicost(units[unit].cost),
-                             std::memory_order_relaxed);
-  };
-  if (opt.seed_single_worker) {
-    for (std::size_t i = 0; i < units.size(); ++i) seed(0, i);
-  } else if (opt.steal) {
-    // LPT seeding: largest unit first onto the least-loaded worker. The
-    // partition is a pure function of the (deterministic) cost estimates, so
-    // the *initial* assignment never depends on timing — only steals do.
-    std::vector<std::size_t> order(units.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return units[a].cost > units[b].cost;
-                     });
-    for (const auto i : order) {
-      std::size_t least = 0;
-      for (std::size_t w = 1; w < jobs; ++w) {
-        if (dq[w].rem.load(std::memory_order_relaxed) <
-            dq[least].rem.load(std::memory_order_relaxed)) {
-          least = w;
-        }
-      }
-      seed(least, i);
-    }
-  } else {
-    // Static sharder: contiguous block partition in schedule order, no
-    // rebalancing — the pre-chunking behavior, kept for the A/B baseline.
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      seed(i * jobs / units.size(), i);
-    }
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    const auto w = opt.seed_single_worker ? 0 : i * jobs / units.size();
+    dq[w].q.push_back(i);
+    dq[w].rem.fetch_add(millicost(units[i].cost), std::memory_order_relaxed);
   }
 
   std::atomic<bool> abort{false};
@@ -250,7 +207,6 @@ SchedStats run_units(std::vector<WorkUnit> units, const SchedOptions& opt) {
     while (!abort.load(std::memory_order_relaxed)) {
       const auto u = pop_own(w);
       if (u < 0) {
-        if (!opt.steal) return;
         // No work can appear out of thin air: once every deque is empty the
         // remaining in-flight units are already claimed, so the worker is
         // done for good.
@@ -275,9 +231,11 @@ SchedStats run_units(std::vector<WorkUnit> units, const SchedOptions& opt) {
     }
   };
 
+  // Worker 0 is the calling thread, so jobs=1 runs the same loop.
   std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (std::size_t w = 0; w < jobs; ++w) pool.emplace_back(worker, w);
+  pool.reserve(jobs - 1);
+  for (std::size_t w = 1; w < jobs; ++w) pool.emplace_back(worker, w);
+  worker(0);
   for (auto& t : pool) t.join();
   st.wall_us = us_since(wall0);
   if (err) std::rethrow_exception(err);
@@ -292,7 +250,7 @@ namespace {
 
 /// Activation priors per fault type, calibrated against the measured rates
 /// of the traced reference campaign (BENCH_activation.json). Only relative
-/// order matters: they steer chunk sizing and LPT seeding, not results.
+/// order matters: they steer chunk sizing and victim choice, not results.
 double type_activation_prior(swfit::FaultType t) {
   using swfit::FaultType;
   switch (t) {
@@ -358,14 +316,7 @@ std::vector<Chunk> plan_chunks(const std::vector<double>& position_costs,
   std::vector<Chunk> chunks;
   if (n == 0) return chunks;
 
-  std::size_t fixed = 0;
-  if (chunk_override > 0) {
-    fixed = static_cast<std::size_t>(chunk_override);
-  } else if (chunk_override < 0) {
-    // -S means "decompose into S equal chunks".
-    const auto parts = static_cast<std::size_t>(-chunk_override);
-    fixed = (n + parts - 1) / parts;
-  }
+  const auto fixed = static_cast<std::size_t>(std::max(0, chunk_override));
 
   double total = 0;
   for (const auto c : position_costs) total += c;

@@ -12,9 +12,10 @@
 //      expensive fault ranges get small chunks, cheap ranges large ones —
 //      fed by the profiler's API-usage shares and (when available) measured
 //      activation traces from src/trace (the ProFIPy feedback loop).
-//   2. A work-stealing executor: per-worker deques seeded with a
-//      deterministic LPT partition of the chunks; a worker that drains its
-//      own deque steals half of the most-loaded victim's remainder. Chunks
+//   2. A work-stealing executor: per-worker deques seeded with contiguous
+//      blocks of the unit list in construction order (cell-major), so each
+//      worker stays on about one cell; a worker that drains its own deque
+//      steals the back half of the most-loaded victim's remainder. Chunks
 //      are coarse (milliseconds+), so the deques are tiny mutex-guarded
 //      rings rather than lock-free Chase-Lev arrays — measured, the lock
 //      cost is noise at this granularity.
@@ -48,7 +49,7 @@ namespace gf::depbench {
 /// units ever run on the same worker at once.
 struct WorkUnit {
   std::function<void(std::size_t worker)> run;
-  double cost = 1.0;  ///< estimated relative cost (LPT + victim selection)
+  double cost = 1.0;  ///< estimated relative cost (victim selection)
 };
 
 /// Per-worker execution telemetry.
@@ -73,34 +74,30 @@ struct SchedStats {
   std::vector<WorkerStats> workers;
   double wall_us = 0;
   std::uint64_t total_units = 0;
-  bool steal = true;
 
   /// Mean busy share per worker (1.0 = no idle tails anywhere).
   double utilization() const noexcept;
   /// Max worker busy time over mean busy time (1.0 = perfectly balanced).
   double imbalance() const noexcept;
   /// Schedule makespan on dedicated cores: the largest per-worker thread-CPU
-  /// total. Host-load-independent — the quantity BM_CampaignSteal compares.
+  /// total. Host-load-independent, unlike wall_us.
   double makespan_cpu_us() const noexcept;
   std::uint64_t steals() const noexcept;
   std::uint64_t stolen() const noexcept;
-  /// Canonical JSON ("genfault-sched/1") for --sched-json / BENCH_sched.json.
+  /// Canonical JSON ("genfault-sched/1") for --sched-json.
   std::string to_json() const;
 };
 
 struct SchedOptions {
   std::size_t jobs = 1;
-  /// Work stealing on (LPT seeding + steal-half). Off = the static sharder:
-  /// contiguous block partition of the unit list, no rebalancing — kept as
-  /// the A/B baseline (BM_CampaignSteal) and reachable via --no-steal.
-  bool steal = true;
   /// Seed every unit to worker 0 (forces the other workers to steal their
   /// entire share) — test hook for the forced-steal stress test.
   bool seed_single_worker = false;
 };
 
-/// Executes every unit exactly once across `opt.jobs` workers and returns
-/// the telemetry. Rethrows the first unit exception after the pool joins.
+/// Executes every unit exactly once across `opt.jobs` workers (worker 0 is
+/// the calling thread) and returns the telemetry. Rethrows the first unit
+/// exception after the pool joins.
 SchedStats run_units(std::vector<WorkUnit> units, const SchedOptions& opt);
 
 // ---------------------------------------------------------------------------
@@ -125,7 +122,7 @@ struct FaultCostModel {
 /// so the simulator executes the most client ops and VM instructions. A
 /// fault that kills or hangs the server collapses the window's op count
 /// (timeouts and fast-fails carry no VM work), making it cheap in wall
-/// time. The estimates only steer chunk sizing and LPT/victim order — a
+/// time. The estimates only steer chunk sizing and victim choice — a
 /// wrong estimate costs balance, never correctness.
 std::vector<double> estimate_fault_costs(const swfit::Faultload& fl,
                                          const FaultCostModel& model);
@@ -141,8 +138,7 @@ struct Chunk {
 /// schedule position): accumulate positions until a chunk holds roughly
 /// total/(jobs * kChunksPerWorker) estimated cost, clamped to
 /// [1, kMaxChunkFaults] positions. `chunk_override` > 0 forces exactly that
-/// many positions per chunk (the --chunk flag); `chunk_override` < 0 asks
-/// for -chunk_override equal chunks (RunnerOptions::chunk < 0).
+/// many positions per chunk (the --chunk flag).
 std::vector<Chunk> plan_chunks(const std::vector<double>& position_costs,
                                std::size_t jobs, int chunk_override);
 

@@ -84,9 +84,7 @@ WindowMetrics SpecClient::run_window(web::WebServer& server,
           server.arch_overhead_ms() + cfg_.base_latency_ms;
       const double begin = std::max(now, server_free);
       server_free = begin + service_ms;
-      ok = cfg_.validate_content
-               ? validate(req, resp, gen.size_of(req.path))
-               : resp.status == 200;
+      ok = validate(req, resp, gen.size_of(req.path));
       const double transfer_ms =
           ok ? static_cast<double>(resp.body.size()) * 8.0 / cfg_.conn_bandwidth_kbps
              : cfg_.error_latency_ms;

@@ -34,7 +34,6 @@ struct ClientConfig {
   double cycles_per_ms = 12000;      ///< VM cycles per simulated CPU ms
   double op_timeout_ms = 1500;       ///< client timeout on an unresponsive server
   double error_latency_ms = 300;     ///< error page (near-normal service)
-  bool validate_content = true;      ///< byte-check bodies against expectation
   /// SPECWeb99 measures conformance per batch; SPC of a window is the mean
   /// conforming-connection count over batches of this length. 0 = assess
   /// the window as a single batch.

@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "depbench/campaign_cli.h"
@@ -43,8 +44,8 @@ TEST(CampaignCliTest, EveryFlagSetsItsField) {
       {"--os", "xp", "--server", "abyssal", "--faultload", "fl.txt",
        "--full", "--quick", "--scale", "0.25", "--stride", "9",
        "--iterations", "4", "--seed", "77", "--baseline-ms", "321",
-       "--jobs", "3", "--chunk", "5", "--no-steal", "--no-fusion",
-       "--cold-boot", "--progress", "--store", "S", "--resume", "--no-cache",
+       "--jobs", "3", "--chunk", "5", "--no-fusion", "--cold-boot",
+       "--progress", "--store", "S", "--resume", "--no-cache",
        "--crash-after-puts", "6", "--metrics-json", "m", "--html-report", "h",
        "--journal-out", "j", "--chrome-trace", "c", "--profile-json", "p",
        "--flame-out", "f", "--profile-stride", "512", "--activation-report",
@@ -63,7 +64,6 @@ TEST(CampaignCliTest, EveryFlagSetsItsField) {
   EXPECT_DOUBLE_EQ(r.baseline_window_ms, 321);
   EXPECT_EQ(r.jobs, 3);
   EXPECT_EQ(r.chunk, 5);
-  EXPECT_FALSE(r.steal);
   EXPECT_FALSE(r.fusion);
   EXPECT_FALSE(r.warm_boot);
   EXPECT_TRUE(a.progress);
@@ -95,7 +95,7 @@ TEST(CampaignCliTest, EveryFlagSetsItsField) {
   EXPECT_EQ(f.runner.iterations, 3);
 
   // The usage text is generated from the same table: it lists exactly the
-  // 32 flags exercised above.
+  // 31 flags exercised above.
   std::set<std::string> listed;
   std::istringstream usage(campaign_usage());
   std::string word;
@@ -105,7 +105,7 @@ TEST(CampaignCliTest, EveryFlagSetsItsField) {
   const std::set<std::string> expected = {
       "--os", "--server", "--faultload", "--quick", "--full", "--scale",
       "--stride", "--iterations", "--seed", "--baseline-ms", "--jobs",
-      "--chunk", "--no-steal", "--no-fusion", "--cold-boot", "--progress",
+      "--chunk", "--no-fusion", "--cold-boot", "--progress",
       "--store", "--resume", "--no-cache", "--crash-after-puts",
       "--metrics-json", "--html-report", "--journal-out", "--chrome-trace",
       "--profile-json", "--flame-out", "--profile-stride",
@@ -136,7 +136,7 @@ TEST(CampaignCliTest, MalformedCommandLinesAreErrors) {
   EXPECT_NE(parse({"--scale", "1x"}), "");
   EXPECT_NE(parse({"--seed", "-1"}), "");
   EXPECT_NE(parse({"--os", "nt"}), "");
-  EXPECT_NE(parse({"--no-steal", "1"}), "");          // switches take none
+  EXPECT_NE(parse({"--no-fusion", "1"}), "");         // switches take none
 }
 
 TEST(CampaignCliTest, NegativeChunkIsRejected) {
@@ -207,11 +207,14 @@ TEST(CampaignCliTest, ResumeNeedsAnExistingStore) {
 
 TEST(CampaignCliTest, SingleCellManifestPassesTheSchemaCheck) {
   const auto manifest = ::testing::TempDir() + "gfcli_manifest.json";
+  const auto sched = ::testing::TempDir() + "gfcli_sched.json";
   std::remove(manifest.c_str());
+  std::remove(sched.c_str());
   CampaignArgs args;
   ASSERT_EQ(parse({"--os", "xp", "--server", "abyssal", "--stride", "96",
                    "--iterations", "1", "--scale", "0.02", "--baseline-ms",
-                   "500", "--jobs", "2", "--metrics-json", manifest.c_str()},
+                   "500", "--jobs", "2", "--metrics-json", manifest.c_str(),
+                   "--sched-json", sched.c_str()},
                   args),
             "");
   CampaignRun run;
@@ -221,9 +224,12 @@ TEST(CampaignCliTest, SingleCellManifestPassesTheSchemaCheck) {
   EXPECT_EQ(run.cells[0].server_name, "abyssal");
   ASSERT_EQ(write_campaign_artifacts(args, run), "");
 
-  const std::string cmd = std::string(GF_JSON_CHECK) +
-                          " --schema manifest " + manifest + " > /dev/null";
-  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  for (const auto& [schema, file] :
+       {std::pair{"manifest", manifest}, std::pair{"sched", sched}}) {
+    const std::string cmd = std::string(GF_JSON_CHECK) + " --schema " +
+                            schema + " " + file + " > /dev/null";
+    EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  }
 
   // A path that cannot be written comes back as an error naming it.
   auto bad = args;

@@ -201,7 +201,7 @@ std::string journal_text(const depbench::CampaignObs& obs) {
 
 TEST(CampaignObsTest, MetricsIdenticalAcrossJobs) {
   auto opt = obs_options();
-  opt.chunk = -4;
+  opt.chunk = 6;
   opt.jobs = 1;
   depbench::CampaignRunner sequential(opt);
   sequential.run_campaign();
@@ -225,15 +225,14 @@ TEST(CampaignObsTest, ShardInvariantCounters) {
   opt.chunk = 0;
   depbench::CampaignRunner one(opt);
   one.run_campaign();
-  opt.chunk = -4;
+  opt.chunk = 6;
   depbench::CampaignRunner four(opt);
   four.run_campaign();
 
   const auto& a = one.campaign_obs()->metrics;
   const auto& b = four.campaign_obs()->metrics;
-  // Equal chunks repartition the same fault indices, so everything keyed by
-  // fault index must not move; workload-coupled counters (client.ops, vm.*)
-  // legitimately differ because per-task seeds change.
+  // Fixed chunks repartition the same fault indices, so everything keyed by
+  // fault index must not move.
   for (const char* key :
        {"campaign.faults_injected", "inject.patches", "inject.restores",
         "inject.verifies", "trace.records"}) {

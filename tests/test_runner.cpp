@@ -72,7 +72,7 @@ TEST(CampaignRunnerTest, JobsDoNotChangeResults) {
   }
 }
 
-TEST(CampaignRunnerTest, EqualChunksPartitionTheFaultload) {
+TEST(CampaignRunnerTest, FixedChunksPartitionTheFaultload) {
   auto opt = quick_options();
   opt.servers = {"abyssal"};
   opt.iterations = 1;
@@ -80,7 +80,7 @@ TEST(CampaignRunnerTest, EqualChunksPartitionTheFaultload) {
 
   opt.chunk = 0;
   const auto whole = CampaignRunner(opt).run_campaign();
-  opt.chunk = -2;  // two equal chunks per iteration
+  opt.chunk = 5;  // five fault positions per chunk
   const auto sharded = CampaignRunner(opt).run_campaign();
 
   ASSERT_EQ(whole.size(), 1u);

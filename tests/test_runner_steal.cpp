@@ -1,8 +1,9 @@
 // Scheduler tests: the work-stealing executor must run every unit exactly
 // once (even when every unit is seeded onto one worker and the rest must
-// steal their entire share), the chunk planner must partition the schedule
-// for any override, and — the load-bearing contract — campaign artifacts
-// must be byte-identical across every (jobs, chunk, steal) combination.
+// steal their entire share) and keep each worker on contiguous runs of the
+// unit list, the chunk planner must partition the schedule for any
+// override, and — the load-bearing contract — campaign artifacts must be
+// byte-identical across every (jobs, chunk) combination.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -38,7 +39,6 @@ TEST(RunUnitsTest, ForcedStealsRunEveryUnitExactlyOnce) {
 
   SchedOptions opt;
   opt.jobs = 4;
-  opt.steal = true;
   opt.seed_single_worker = true;  // workers 1..3 must steal everything
   const auto st = run_units(std::move(units), opt);
 
@@ -79,24 +79,60 @@ TEST(RunUnitsTest, SingleWorkerRunsInScheduleOrder) {
   EXPECT_EQ(st.workers[0].units, 8u);
 }
 
-TEST(RunUnitsTest, UnitExceptionIsRethrownAfterJoin) {
+TEST(RunUnitsTest, WorkersRunContiguousRuns) {
+  // Block seeding hands each worker one contiguous run of the unit list and
+  // a steal moves one contiguous run, so a worker's execution order splits
+  // into at most 1 + steal_batches runs of consecutive indices.
+  constexpr std::size_t kUnits = 64;
+  constexpr std::size_t kJobs = 4;
+  std::vector<std::vector<std::size_t>> order(kJobs);
   std::vector<WorkUnit> units;
-  for (int i = 0; i < 16; ++i) {
-    units.push_back({[i](std::size_t) {
-                       if (i == 5) throw std::runtime_error("unit failed");
+  for (std::size_t i = 0; i < kUnits; ++i) {
+    units.push_back({[&order, i](std::size_t worker) {
+                       volatile std::uint64_t x = 0;
+                       for (int k = 0; k < 20000; ++k) x = x + k;
+                       order[worker].push_back(i);
                      },
                      1.0});
   }
   SchedOptions opt;
-  opt.jobs = 4;
-  EXPECT_THROW(run_units(std::move(units), opt), std::runtime_error);
+  opt.jobs = kJobs;
+  const auto st = run_units(std::move(units), opt);
+  ASSERT_EQ(st.workers.size(), kJobs);
+  std::size_t ran = 0;
+  for (std::size_t w = 0; w < kJobs; ++w) {
+    const auto& seq = order[w];
+    ran += seq.size();
+    std::uint64_t runs = seq.empty() ? 0 : 1;
+    for (std::size_t k = 1; k < seq.size(); ++k) {
+      if (seq[k] != seq[k - 1] + 1) ++runs;
+    }
+    EXPECT_LE(runs, 1 + st.workers[w].steal_batches) << "worker " << w;
+  }
+  EXPECT_EQ(ran, kUnits);
+}
+
+TEST(RunUnitsTest, UnitExceptionIsRethrownAfterJoin) {
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    std::vector<WorkUnit> units;
+    for (int i = 0; i < 16; ++i) {
+      units.push_back({[i](std::size_t) {
+                         if (i == 5) throw std::runtime_error("unit failed");
+                       },
+                       1.0});
+    }
+    SchedOptions opt;
+    opt.jobs = jobs;
+    EXPECT_THROW(run_units(std::move(units), opt), std::runtime_error);
+  }
 }
 
 // ------------------------------------------------------------ chunk planner
 
 TEST(PlanChunksTest, PartitionsForAnyOverride) {
   const std::vector<double> costs(37, 1.0);
-  for (const int override_ : {0, 1, 3, 5, 64, -1, -4, -10}) {
+  for (const int override_ : {0, 1, 3, 5, 64}) {
     SCOPED_TRACE("override " + std::to_string(override_));
     const auto chunks = plan_chunks(costs, 4, override_);
     ASSERT_FALSE(chunks.empty());
@@ -117,15 +153,6 @@ TEST(PlanChunksTest, FixedOverrideForcesChunkSize) {
   ASSERT_EQ(chunks.size(), 4u);  // 6 + 6 + 6 + 2
   EXPECT_EQ(chunks[0].count, 6u);
   EXPECT_EQ(chunks[3].count, 2u);
-}
-
-TEST(PlanChunksTest, NegativeOverrideMeansEqualChunks) {
-  // chunk -4 -> four equal chunks -> ceil(22/4) = 6 positions per chunk.
-  const std::vector<double> costs(22, 1.0);
-  const auto chunks = plan_chunks(costs, 8, -4);
-  ASSERT_EQ(chunks.size(), 4u);
-  EXPECT_EQ(chunks[0].count, 6u);
-  EXPECT_EQ(chunks[3].count, 4u);
 }
 
 TEST(PlanChunksTest, AdaptiveChunksShrinkWhereCostsAreHigh) {
@@ -239,29 +266,6 @@ TEST(SchedulerIdentityTest, ArtifactsIdenticalAcrossJobsAndChunks) {
       EXPECT_EQ(got.activations, ref.activations);
     }
   }
-}
-
-TEST(SchedulerIdentityTest, StaticPartitionAndShardsAliasMatchStealing) {
-  const auto base = steal_options();
-  const auto ref = run_artifacts(base);
-
-  // --no-steal: same decomposition, block-partitioned, no rebalancing.
-  auto no_steal = base;
-  no_steal.jobs = 7;
-  no_steal.steal = false;
-  const auto a = run_artifacts(no_steal);
-  EXPECT_EQ(a.metrics, ref.metrics);
-  EXPECT_EQ(a.journal, ref.journal);
-  EXPECT_EQ(a.activations, ref.activations);
-
-  // chunk = -S: S equal chunks per iteration.
-  auto sharded = base;
-  sharded.jobs = 4;
-  sharded.chunk = -3;
-  const auto b = run_artifacts(sharded);
-  EXPECT_EQ(b.metrics, ref.metrics);
-  EXPECT_EQ(b.journal, ref.journal);
-  EXPECT_EQ(b.activations, ref.activations);
 }
 
 TEST(SchedulerIdentityTest, SchedulerStatsAccountForEveryUnit) {

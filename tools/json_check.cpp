@@ -5,7 +5,7 @@
 //   json_check --schema metrics FILE      obs registry shape
 //   json_check --schema chrome FILE       Chrome trace-event shape
 //   json_check --schema manifest FILE     genfault-campaign manifest shape
-//   json_check --schema sched FILE        scheduler A/B bench shape
+//   json_check --schema sched FILE        scheduler telemetry shape
 //   json_check --schema store FILE        campaign-store bench/stats shape
 //   json_check --schema micro FILE        BENCH_micro.json sanity (Release
 //                                         build context, positive rates)
@@ -344,35 +344,30 @@ bool check_diff(const std::string& file, const Value& root) {
   return true;
 }
 
-/// One scheduler telemetry object ("genfault-sched/1"): jobs/units/wall_us
-/// plus a workers[] entry per thread (see SchedStats::to_json).
-bool check_sched_stats(const std::string& file, const std::string& at,
-                       const Value& v) {
-  if (v.type != Value::Type::kObject) return fail(file, at + " not object");
+/// The --sched-json artifact ("genfault-sched/1"): jobs/units/wall_us plus
+/// a workers[] entry per thread (see SchedStats::to_json).
+bool check_sched(const std::string& file, const Value& v) {
+  if (v.type != Value::Type::kObject) return fail(file, "root not object");
   const auto* schema = v.find("schema");
   if (!is_string(schema) || schema->string != "genfault-sched/1") {
-    return fail(file, at + " schema is not genfault-sched/1");
+    return fail(file, "schema is not genfault-sched/1");
   }
   for (const char* key : {"jobs", "units", "wall_us", "utilization",
                           "imbalance", "cpu_makespan_us", "steal_batches",
                           "stolen_units"}) {
     if (!is_number(v.find(key))) {
-      return fail(file, at + " missing number field: " + key);
+      return fail(file, std::string("missing number field: ") + key);
     }
   }
-  const auto* steal = v.find("steal");
-  if (steal == nullptr || steal->type != Value::Type::kBool) {
-    return fail(file, at + " missing bool field: steal");
-  }
   const auto* workers = v.find("workers");
-  if (!is_array(workers)) return fail(file, at + " missing workers[]");
+  if (!is_array(workers)) return fail(file, "missing workers[]");
   if (workers->array.size() !=
       static_cast<std::size_t>(v.find("jobs")->number)) {
-    return fail(file, at + " workers[] length != jobs");
+    return fail(file, "workers[] length != jobs");
   }
   for (std::size_t i = 0; i < workers->array.size(); ++i) {
     const auto& w = workers->array[i];
-    const auto wat = at + ".workers[" + std::to_string(i) + "]";
+    const auto wat = "workers[" + std::to_string(i) + "]";
     if (w.type != Value::Type::kObject) return fail(file, wat + " not object");
     for (const char* key : {"units", "stolen_units", "steal_batches",
                             "steal_attempts", "busy_us", "cpu_us",
@@ -383,36 +378,6 @@ bool check_sched_stats(const std::string& file, const std::string& at,
     }
   }
   return true;
-}
-
-/// BENCH_sched.json ("genfault-sched-bench/1"): the BM_CampaignSteal A/B —
-/// timings, the identity verdict and both runs' scheduler telemetry.
-bool check_sched(const std::string& file, const Value& root) {
-  if (root.type != Value::Type::kObject) return fail(file, "root not object");
-  const auto* schema = root.find("schema");
-  if (!is_string(schema) || schema->string != "genfault-sched-bench/1") {
-    return fail(file, "schema is not genfault-sched-bench/1");
-  }
-  for (const char* key : {"jobs", "static_ms", "steal_ms", "speedup",
-                          "static_makespan_ms", "steal_makespan_ms",
-                          "makespan_speedup"}) {
-    if (!is_number(root.find(key))) {
-      return fail(file, std::string("missing number field: ") + key);
-    }
-  }
-  const auto* ident = root.find("artifacts_identical");
-  if (ident == nullptr || ident->type != Value::Type::kBool) {
-    return fail(file, "missing bool field: artifacts_identical");
-  }
-  if (!ident->boolean) {
-    return fail(file, "artifacts_identical is false (determinism regression)");
-  }
-  const auto* stat = root.find("static");
-  const auto* steal = root.find("steal");
-  if (stat == nullptr) return fail(file, "missing static{}");
-  if (steal == nullptr) return fail(file, "missing steal{}");
-  return check_sched_stats(file, "static", *stat) &&
-         check_sched_stats(file, "steal", *steal);
 }
 
 /// One store telemetry object ("genfault-store/1"): the StoreStats counters
