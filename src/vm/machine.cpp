@@ -37,7 +37,7 @@ namespace {
 //
 // plus the kXGlue bit when the fall-through successor slot is statically
 // valid, unarmed and in-hull: the dispatch tail may then skip the full fetch
-// (hull check, flag byte, coverage test). Safety: validity and armedness are
+// (hull check, flag byte). Safety: validity and armedness are
 // immune to guest writes (invalidate_code re-decodes content but never
 // touches flags), and the glue path re-reads predecoded_/xop_ fresh, so a
 // stale in-register glue bit can never execute stale bytes.
@@ -58,8 +58,7 @@ namespace {
 // rebuild_xop_for_range) starts two slots left of the written range: a write
 // into the second or third slot of a triple splits it.
 //
-// Fusion/glue is disabled entirely under per-pc coverage (the glue path skips
-// the coverage test) and inside the armed window (single-step contract).
+// Fusion/glue is disabled inside the armed window (single-step contract).
 //
 // The name list mirrors Op order exactly — static_asserts below pin it.
 #define GF_VM_XOPS(X)                                                       \
@@ -363,12 +362,9 @@ std::uint8_t Machine::xop_for_slot(std::size_t s) const noexcept {
   if (f & kSlotArmed) return kXArmed;  // single-step inside the fault window
   const Instr& a = predecoded_[s];
   const auto base = static_cast<std::uint8_t>(a.op);
-  // Undecodable slots trap, syscall handlers may rewrite anything (including
-  // these tables), and coverage records per-pc at the full fetch: none of
-  // them glue or fuse.
-  if (a.op == Op::kOpCount_ || a.op == Op::kSys || !fusion_ || coverage_) {
-    return base;
-  }
+  // Undecodable slots trap and syscall handlers may rewrite anything
+  // (including these tables): neither glues nor fuses.
+  if (a.op == Op::kOpCount_ || a.op == Op::kSys || !fusion_) return base;
   // A successor slot is statically safe when it is in-hull, valid and unarmed.
   auto safe = [this](std::size_t t) {
     return t < predecoded_.size() &&
@@ -636,19 +632,6 @@ bool Machine::in_code(std::uint64_t addr) const noexcept {
   return false;
 }
 
-void Machine::set_coverage(bool enabled) {
-  coverage_ = enabled;
-  if (enabled && covered_.empty()) covered_.resize(mem_.size() / kInstrSize, false);
-  // Coverage records per-pc at the full fetch, which glue would skip:
-  // re-tokenize so coverage runs execute strictly unfused.
-  if (!predecoded_.empty()) rebuild_xop(0, predecoded_.size());
-}
-
-void Machine::clear_coverage() {
-  executed_.clear();
-  std::fill(covered_.begin(), covered_.end(), false);
-}
-
 RunResult Machine::call(std::uint64_t addr, std::span<const std::int64_t> args,
                         std::uint64_t cycle_budget) {
   // Fresh frame at the top of the stack region with the sentinel as the
@@ -728,14 +711,13 @@ RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
   // Run-invariant machine shape, held in locals: a guest store goes through
   // a byte pointer that may alias anything, so state read through `this`
   // would be reloaded after every store. Only a syscall handler can change
-  // any of it mid-run (load an image, toggle predecode or coverage, restore,
+  // any of it mid-run (load an image, toggle predecode, restore,
   // start a write capture, move the stack), so the SYS handler reloads.
   GuestMem g{};
   const Instr* pre = nullptr;  // predecoded_ (null: per-step decode)
   const std::uint8_t* xtab = nullptr;
   std::uint64_t hull_lo = 0;
   std::uint64_t hull_span = 0;  // fetch is in-hull iff pc - hull_lo < hull_span
-  bool cov = false;
   std::uint64_t stk_lo = 0, stk_hi = 0;
   auto reload = [&] {
     g = guest_mem();
@@ -747,7 +729,6 @@ RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
     hull_span = code_hi_ - code_lo_ >= kInstrSize
                     ? code_hi_ - code_lo_ - kInstrSize + 1
                     : 0;
-    cov = coverage_;
     stk_lo = stack_lo_;
     stk_hi = stack_hi_;
   };
@@ -830,7 +811,7 @@ RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
   // VM_SEQ: a straight-line instruction retires. With the glue bit (the
   // fall-through slot is statically valid, unarmed and in-hull) the next
   // token dispatches without the full fetch; everything the skipped checks
-  // guard is write-immune (validity, armedness, coverage off) or read fresh
+  // guard is write-immune (validity, armedness) or read fresh
   // here (instruction, token).
 #define VM_SEQ(c)                                   \
   cycles += (c);                                    \
@@ -870,34 +851,17 @@ fetch:
   if (pre != nullptr) {
     // Fast path: one hull compare + token/side-table fetch. Validity,
     // armedness and undecodability are pre-folded into the token, so the
-    // only per-fetch branches are the hull check and the (normally false)
-    // coverage test.
+    // only per-fetch branch is the hull check.
     const std::uint64_t rel = pc - hull_lo;
     if (rel >= hull_span || rel % kInstrSize != 0) return stop(Trap::kBadJump);
     slot = static_cast<std::size_t>(rel / kInstrSize);
     in = pre + slot;
     xop = xtab[slot];
-    if (cov) {
-      if (xop != kXBadJump) {  // holes were never recorded as executed
-        const std::size_t idx = pc / kInstrSize;
-        if (!covered_[idx]) {
-          covered_[idx] = true;
-          executed_.push_back(pc);
-        }
-      }
-    }
   } else {
     if (!in_code(pc) || pc % kInstrSize != 0) return stop(Trap::kBadJump);
     // Fallback decode path: no slot table, so the watch is a range compare.
     if (watch_hi_ != 0 && pc >= watch_lo_ && pc < watch_hi_) [[unlikely]] {
       note_watch_hit(cycles);
-    }
-    if (cov) {
-      const std::size_t idx = pc / kInstrSize;
-      if (!covered_[idx]) {
-        covered_[idx] = true;
-        executed_.push_back(pc);
-      }
     }
     if (!isa::decode_into(g.mem + pc, decoded)) return stop(Trap::kBadOpcode);
     slot = static_cast<std::size_t>(pc / kInstrSize);  // hull_lo is 0 here

@@ -289,14 +289,6 @@ class Machine {
   /// restore rolls back the simulated machine, but the work spent executing
   /// still happened — consumers read deltas across run boundaries.
   const DispatchStats& dispatch_stats() const noexcept { return stats_; }
-  void reset_dispatch_stats() noexcept { stats_ = {}; }
-
-  /// Optional per-instruction coverage recording (for fault-activation
-  /// measurements): when enabled, executed_pcs() reports distinct executed
-  /// instruction addresses within loaded code.
-  void set_coverage(bool enabled);
-  const std::vector<std::uint64_t>& executed_pcs() const noexcept { return executed_; }
-  void clear_coverage();
 
   // --- fault-activation watch ---------------------------------------------
   /// Arms an address watch on [lo, hi): the first time the PC enters the
@@ -483,10 +475,6 @@ class Machine {
   SyscallHandler syscall_;
   std::uint64_t total_cycles_ = 0;
   DispatchStats stats_;
-
-  bool coverage_ = false;
-  std::vector<std::uint64_t> executed_;
-  std::vector<bool> covered_;  // indexed by addr / kInstrSize
 
   /// Sampler countdown idle sentinel: the cycles of any realistic machine
   /// lifetime never drive it to zero, so a disarmed sampler never fires.

@@ -302,20 +302,24 @@ TEST(Fusion, ArmedWatchOverFusedPairTracesIdentically) {
               "after disarm");
 }
 
-/// Coverage mode records per-pc at the full fetch, so the tokenizer must
-/// refuse to fuse under it — and the recorded pc set must match unfused.
-TEST(Fusion, CoverageSeesEveryArchitecturalPc) {
+/// A stride-1 sampler ticks on every cycle, so its map holds every retired
+/// pc weighted by its cycles: fused execution must reproduce the unfused map
+/// exactly over every fused pair, with fusion still active.
+TEST(Fusion, StrideOneSamplesSeeEveryArchitecturalPc) {
   const auto img = assemble(kAllPairsSrc, "t", 0x1000);
   Machine fused, plain;
   fused.load_image(img);
   plain.load_image(img);
   plain.set_fusion(false);
-  fused.set_coverage(true);
-  plain.set_coverage(true);
+  fused.arm_sampler(1);
+  plain.arm_sampler(1);
+  std::size_t fused_slots = 0;
+  for (const auto& [token, n] : fused.fused_token_census()) fused_slots += n;
+  EXPECT_GT(fused_slots, 0u);  // the sampler leaves fusion on
   expect_same(probe_call(fused, img, {9, 2}), probe_call(plain, img, {9, 2}),
-              "coverage");
-  EXPECT_EQ(fused.executed_pcs(), plain.executed_pcs());
-  EXPECT_FALSE(fused.executed_pcs().empty());
+              "stride-1 samples");
+  EXPECT_EQ(fused.samples(), plain.samples());
+  EXPECT_FALSE(fused.samples().empty());
 }
 
 /// Toggling fusion mid-life re-tokenizes in place (no reload needed) and
