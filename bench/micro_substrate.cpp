@@ -310,8 +310,9 @@ void BM_SnapshotRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotRestore);
 
-/// Full cold SUB bring-up: MiniC compile + boot + file set + server start —
-/// what every campaign task used to pay before warm-boot snapshots.
+/// Full cold SUB bring-up (snapshot::bring_up): MiniC compile + boot + file
+/// set + OS reboot + server start + warm-up serve — what every campaign task
+/// pays without warm-boot snapshots.
 void BM_ControllerBuildCold(benchmark::State& state) {
   for (auto _ : state) {
     depbench::Controller ctl(os::OsVersion::kVos2000, "apex");
@@ -354,7 +355,7 @@ void BM_ControllerResetWarm(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (const auto a : dirty) m.mark_dirty(a, kPage);
-    ctl.reset(snap, cfg);
+    ctl.reset(cfg);
     benchmark::DoNotOptimize(ctl.kernel().ticks());
   }
   state.counters["dirty_pages"] = static_cast<double>(dirty.size());
@@ -378,7 +379,7 @@ void BM_ServeRequest(benchmark::State& state, const char* server) {
   for (auto _ : state) {
     if (next == reqs.size()) {
       state.PauseTiming();
-      ctl.reset(snap, {});
+      ctl.reset({});
       next = 0;
       state.ResumeTiming();
     }

@@ -212,7 +212,9 @@ echo "gfcheck fuzz budget ok (${GFCHECK_CASES:-25} cases/engine)" >&2
 
 # Validate every emitted JSON artifact; a malformed emitter fails the run
 # loudly here instead of producing quietly-broken dashboards downstream.
-"$BUILD_DIR/tools/json_check" "$ACT_OUT" "$SNAP_OUT" "$OBS_OUT"
+"$BUILD_DIR/tools/json_check" --schema activation "$ACT_OUT"
+"$BUILD_DIR/tools/json_check" --schema snapshot "$SNAP_OUT"
+"$BUILD_DIR/tools/json_check" --schema obs "$OBS_OUT"
 "$BUILD_DIR/tools/json_check" --schema micro "$OUT"
 "$BUILD_DIR/tools/json_check" --schema sched "$OBS_DIR/sched.json"
 "$BUILD_DIR/tools/json_check" --schema store "$STORE_OUT"

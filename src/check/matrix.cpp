@@ -14,13 +14,11 @@
 // so BOTH runs render through the reference options struct — the comparison
 // then covers exactly the result payload (cells + merged obs).
 //
-// warm_boot is different: the snapshot contract (tests/test_snapshot.cpp)
-// promises cold/warm equivalence of the RESULTS — metrics, counters,
-// activation records — but a cold boot legitimately executes the bring-up
-// API traffic inside every task, so the merged obs registry/journal/profile
-// differ by design. The fuzzer therefore shares a random warm_boot between
-// reference and variant for the full-artifact oracle, and adds a separate
-// warm/cold flip compared through the results-only artifacts.
+// warm_boot picks the SUB's state source (a live bring-up or a snapshot);
+// either way the bring-up precedes every run, so a warm/cold flip must
+// reproduce every artifact too. Only the manifest's snapshot.* tallies name
+// the source, so the flip compares the manifest without the merged obs
+// registry.
 //
 // A random subset of cases additionally wires a persistent store through the
 // variant shape: the cold run (all misses, everything committed) and an
@@ -84,13 +82,10 @@ struct Artifacts {
   std::string derived;  ///< §3.2 metrics, canonical exact-precision text
 };
 
-Artifacts render_results(const std::vector<depbench::ExperimentCell>& cells,
-                         const depbench::RunnerOptions& render_opt);
-
 Artifacts render(const std::vector<depbench::ExperimentCell>& cells,
                  const depbench::RunnerOptions& render_opt,
                  const depbench::CampaignRunner& runner) {
-  Artifacts art = render_results(cells, render_opt);
+  Artifacts art;
   const auto* obs = runner.campaign_obs();
   art.manifest = depbench::campaign_manifest_json(cells, render_opt, obs);
   if (obs != nullptr) {
@@ -102,32 +97,6 @@ Artifacts render(const std::vector<depbench::ExperimentCell>& cells,
       art.profile = depbench::campaign_profile_json(cells, render_opt, *obs);
     }
   }
-  return art;
-}
-
-/// Byte-compares every artifact pair, tagging failures with `shape`.
-void compare(const Artifacts& ref, const Artifacts& got,
-             const std::string& shape, CheckReport& report) {
-  expect_same("manifest [" + shape + "]", ref.manifest, got.manifest, report);
-  expect_same("journal [" + shape + "]", ref.journal, got.journal, report);
-  expect_same("activations [" + shape + "]", ref.activations, got.activations,
-              report);
-  expect_same("activation summary [" + shape + "]", ref.activation_summary,
-              got.activation_summary, report);
-  expect_same("profile [" + shape + "]", ref.profile, got.profile, report);
-  expect_same("flamegraph [" + shape + "]", ref.flame, got.flame, report);
-  expect_same("derived metrics [" + shape + "]", ref.derived, got.derived,
-              report);
-}
-
-/// Results-only artifacts: everything the warm/cold snapshot contract
-/// promises to preserve (cells without the merged obs registry, activation
-/// records, derived metrics) — no journal/profile/api counters.
-Artifacts render_results(const std::vector<depbench::ExperimentCell>& cells,
-                         const depbench::RunnerOptions& render_opt) {
-  Artifacts art;
-  art.manifest =
-      depbench::campaign_manifest_json(cells, render_opt, /*obs=*/nullptr);
   if (render_opt.trace) {
     std::ostringstream a;
     trace::ActivationStats stats;
@@ -151,6 +120,21 @@ Artifacts render_results(const std::vector<depbench::ExperimentCell>& cells,
   }
   art.derived = d.str();
   return art;
+}
+
+/// Byte-compares every artifact pair, tagging failures with `shape`.
+void compare(const Artifacts& ref, const Artifacts& got,
+             const std::string& shape, CheckReport& report) {
+  expect_same("manifest [" + shape + "]", ref.manifest, got.manifest, report);
+  expect_same("journal [" + shape + "]", ref.journal, got.journal, report);
+  expect_same("activations [" + shape + "]", ref.activations, got.activations,
+              report);
+  expect_same("activation summary [" + shape + "]", ref.activation_summary,
+              got.activation_summary, report);
+  expect_same("profile [" + shape + "]", ref.profile, got.profile, report);
+  expect_same("flamegraph [" + shape + "]", ref.flame, got.flame, report);
+  expect_same("derived metrics [" + shape + "]", ref.derived, got.derived,
+              report);
 }
 
 fs::path scratch_root(const CheckOptions& opt) {
@@ -195,8 +179,6 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
   base.obs = true;
   base.profile = rng.chance(0.3);
   base.profile_stride = rng.chance(0.5) ? 512 : 2048;
-  // Shared by reference and variant: obs artifacts legitimately see the
-  // bring-up API traffic of a cold boot (see the header comment).
   base.warm_boot = rng.chance(0.7);
 
   // Reference shape: serial, default strategies, no store.
@@ -231,15 +213,21 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
     compare(ref_art, render(var_cells, ref_opt, var_runner), shape, report);
   }
 
-  // Snapshot oracle: flip warm/cold at the variant's parallel shape and
-  // compare the results-only artifacts (the snapshot contract's surface).
+  // Snapshot oracle: flip warm/cold at the variant's parallel shape. Every
+  // artifact must match; the manifests compare without the merged obs
+  // registry, whose snapshot.* tallies name the state source.
   if (rng.chance(0.4)) {
     auto flip_opt = var_opt;
     flip_opt.warm_boot = !base.warm_boot;
     depbench::CampaignRunner flip_runner(flip_opt);
     const auto flip_cells = flip_runner.run_campaign();
-    compare(render_results(ref_cells, ref_opt),
-            render_results(flip_cells, ref_opt),
+    auto want = ref_art;
+    want.manifest =
+        depbench::campaign_manifest_json(ref_cells, ref_opt, nullptr);
+    auto got = render(flip_cells, ref_opt, flip_runner);
+    got.manifest =
+        depbench::campaign_manifest_json(flip_cells, ref_opt, nullptr);
+    compare(want, got,
             shape + (flip_opt.warm_boot ? " warm-flip=warm" : " warm-flip=cold"),
             report);
   }

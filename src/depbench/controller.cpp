@@ -13,70 +13,51 @@ namespace gf::depbench {
 
 Controller::Controller(os::OsVersion version, const std::string& server_name,
                        ControllerConfig cfg)
-    : cfg_(cfg),
-      kernel_(std::make_unique<os::Kernel>(version)),
-      api_(std::make_unique<os::OsApi>(*kernel_)),
-      fileset_(std::make_unique<spec::Fileset>(kernel_->disk())),
-      server_(web::make_server(server_name, *api_)) {
-  cfg_.client.connections = cfg_.connections;
-  if (cfg_.obs != nullptr) api_->set_metrics(&cfg_.obs->api);
+    : sub_(snapshot::bring_up(version, server_name)) {
+  configure(cfg);
 }
 
 Controller::Controller(std::shared_ptr<const snapshot::WarmSnapshot> snap,
                        ControllerConfig cfg)
-    : kernel_(std::make_unique<os::Kernel>(snap->kernel)),
-      api_(std::make_unique<os::OsApi>(*kernel_)),
-      fileset_(std::make_unique<spec::Fileset>(kernel_->disk(), snap->fileset,
-                                               /*populate=*/false)),
-      server_(web::make_server(snap->server_name, *api_)),
-      snap_(std::move(snap)) {
-  adopt(*snap_, cfg);
+    : snap_(std::move(snap)), sub_(snapshot::restore(*snap_)) {
+  configure(cfg);
 }
 
-void Controller::reset(
-    const std::shared_ptr<const snapshot::WarmSnapshot>& snap,
-    ControllerConfig cfg) {
-  if (snap == nullptr || snap != snap_) {
-    throw std::invalid_argument(
-        "Controller::reset: not the snapshot this controller was built from");
+void Controller::reset(ControllerConfig cfg) {
+  if (snap_ == nullptr) {
+    throw std::logic_error(
+        "Controller::reset: a cold-built controller has no snapshot");
   }
-  kernel_->reset(snap->kernel);
-  adopt(*snap, cfg);
+  sub_.kernel->reset();
+  sub_.server->restore_process(snap_->server);
+  configure(cfg);
 }
 
-void Controller::adopt(const snapshot::WarmSnapshot& snap,
-                       ControllerConfig cfg) {
+void Controller::configure(ControllerConfig cfg) {
   cfg_ = cfg;
   cfg_.client.connections = cfg_.connections;
-  server_->restore_process(snap.server);
-  api_->set_metrics(cfg_.obs != nullptr ? &cfg_.obs->api : nullptr);
-  warm_started_ = true;
+  sub_.api->set_metrics(cfg_.obs != nullptr ? &cfg_.obs->api : nullptr);
+  ran_ = false;
 }
 
-void Controller::bring_up() {
-  if (warm_started_) {
-    // The snapshot was captured exactly after this reboot + start + warm-up
-    // sequence; repeating it would double-count boot cycles and diverge
-    // from cold.
-    warm_started_ = false;
-    return;
+void Controller::begin_run() {
+  if (ran_) {
+    throw std::logic_error(
+        "Controller: one run per build or reset (call reset() first)");
   }
-  kernel_->reboot();
-  if (!server_->start()) {
-    throw std::runtime_error("server failed to start on a healthy OS");
-  }
-  // Bring-up ends with the server *warmed*, not merely started: every run —
-  // baseline, profile, or a single-fault exposure — measures a SUB in its
-  // steady serving state, the state the paper's long sequential slots put
-  // it in before most injections.
-  spec::warm_server(*server_, *fileset_);
+  ran_ = true;
+  obs_begin_run();
+  profile_begin();
 }
 
 void Controller::obs_begin_run() {
   if (cfg_.obs == nullptr) return;
-  obs_vm_base_ = kernel_->machine().dispatch_stats();
-  obs_kernel_base_ = kernel_->counters();
-  cfg_.obs->journal.instant("bring_up", 0, kernel_->machine().total_cycles());
+  obs_vm_base_ = sub_.kernel->machine().dispatch_stats();
+  obs_kernel_base_ = sub_.kernel->counters();
+  // Marks the SUB's brought-up state the run starts from (bring-up itself
+  // happened before the run, from whichever state source).
+  cfg_.obs->journal.instant("bring_up", 0,
+                            sub_.kernel->machine().total_cycles());
 }
 
 void Controller::obs_end_run(const spec::WindowMetrics& m) {
@@ -85,14 +66,14 @@ void Controller::obs_end_run(const spec::WindowMetrics& m) {
   // Harvest the hot layers' raw counters as deltas over this run. The keys
   // are added unconditionally (delta 0 included) so the registry's key set
   // — and therefore its canonical rendering — is stable.
-  const auto& vs = kernel_->machine().dispatch_stats();
+  const auto& vs = sub_.kernel->machine().dispatch_stats();
   r.add("vm.instructions", vs.instructions - obs_vm_base_.instructions);
   r.add("vm.runs", vs.runs - obs_vm_base_.runs);
   for (std::size_t i = 1; i < vm::kNumTraps; ++i) {
     r.add("vm.trap." + std::string(vm::trap_name(static_cast<vm::Trap>(i))),
           vs.traps[i] - obs_vm_base_.traps[i]);
   }
-  const auto& kc = kernel_->counters();
+  const auto& kc = sub_.kernel->counters();
   r.add("os.reboots", kc.reboots - obs_kernel_base_.reboots);
   r.add("os.reboots.cold", kc.cold_boots - obs_kernel_base_.cold_boots);
   r.add("os.reboots.replay", kc.replay_boots - obs_kernel_base_.replay_boots);
@@ -103,26 +84,26 @@ void Controller::obs_end_run(const spec::WindowMetrics& m) {
   r.add("client.bytes", m.bytes);
   // End-of-run kernel health: free-list depth as a gauge plus a violation
   // counter (a non-zero value here means latent corruption survived the run).
-  const auto inv = trace::snapshot_invariants(*kernel_);
+  const auto inv = trace::snapshot_invariants(*sub_.kernel);
   r.gauge("kernel.heap.free_nodes", inv.heap_free_nodes);
   if (!inv.heap_ok || !inv.handles_ok) r.add("kernel.invariant_violations");
 }
 
 void Controller::profile_begin() {
   if (cfg_.profile_stride == 0 || cfg_.obs == nullptr) return;
-  kernel_->machine().arm_sampler(cfg_.profile_stride);
+  sub_.kernel->machine().arm_sampler(cfg_.profile_stride);
 }
 
 void Controller::profile_end() {
   if (cfg_.profile_stride == 0 || cfg_.obs == nullptr) return;
-  auto& m = kernel_->machine();
+  auto& m = sub_.kernel->machine();
   auto& p = cfg_.obs->profile;
   p.stride = cfg_.profile_stride;
   // Attribute each sampled pc to the function containing it in the pristine
   // image (injection patches never move symbol boundaries). Samples outside
   // any symbol — holes, mutated control flow into padding — get a stable
   // hex label so nothing is silently dropped and totals stay exact.
-  const auto& img = kernel_->pristine_image();
+  const auto& img = sub_.kernel->pristine_image();
   for (const auto& [pc, n] : m.samples()) {
     if (const auto* sym = img.symbol_at(pc); sym != nullptr) {
       p.add(sym->name, n);
@@ -138,40 +119,29 @@ void Controller::profile_end() {
 
 spec::WindowMetrics Controller::run_baseline(double duration_ms,
                                              std::uint64_t seed) {
-  obs_begin_run();
-  bring_up();
-  profile_begin();
-  if (cfg_.obs != nullptr) {
-    cfg_.obs->journal.begin("baseline", 0, kernel_->machine().total_cycles());
-  }
-  spec::WorkloadGenerator gen(*fileset_, seed);
-  spec::SpecClient client(cfg_.client);
-  auto m = client.run_window(*server_, gen, 0, duration_ms);
-  server_->stop();
-  if (cfg_.obs != nullptr) {
-    cfg_.obs->journal.end("baseline", duration_ms,
-                          kernel_->machine().total_cycles());
-  }
-  profile_end();
-  obs_end_run(m);
-  return m;
+  return serve_window("baseline", nullptr, duration_ms, seed);
 }
 
 spec::WindowMetrics Controller::run_profile_mode(const swfit::Faultload& fl,
                                                  double duration_ms,
                                                  std::uint64_t seed) {
-  obs_begin_run();
-  bring_up();
-  profile_begin();
+  return serve_window("profile", &fl, duration_ms, seed);
+}
+
+spec::WindowMetrics Controller::serve_window(const char* label,
+                                             const swfit::Faultload* fl,
+                                             double duration_ms,
+                                             std::uint64_t seed) {
+  begin_run();
   if (cfg_.obs != nullptr) {
-    cfg_.obs->journal.begin("profile", 0, kernel_->machine().total_cycles());
+    cfg_.obs->journal.begin(label, 0, sub_.kernel->machine().total_cycles());
   }
-  spec::WorkloadGenerator gen(*fileset_, seed);
-  // The injector runs co-located with the server (paper Fig. 3); its
-  // schedule bookkeeping and monitor polling steal a small CPU share,
-  // modeled as extra per-operation service time.
+  spec::WorkloadGenerator gen(*sub_.fileset, seed);
   auto ccfg = cfg_.client;
-  ccfg.base_latency_ms += 0.1;
+  // In profile mode the injector runs co-located with the server (paper
+  // Fig. 3); its schedule bookkeeping and monitor polling steal a small CPU
+  // share, modeled as extra per-operation service time.
+  if (fl != nullptr) ccfg.base_latency_ms += 0.1;
   spec::SpecClient client(ccfg);
 
   // Profile mode performs the complete injection workflow against the
@@ -182,25 +152,27 @@ spec::WindowMetrics Controller::run_profile_mode(const swfit::Faultload& fl,
   const double exposure = cfg_.fault_exposure_ms * cfg_.time_scale;
   std::uint64_t window_check = 0;
   auto tick = [&](double now) {
-    if (now >= next_swap && !fl.faults.empty()) {
-      const auto& f = fl.faults[fault_index++ % fl.faults.size()];
+    if (now >= next_swap && !fl->faults.empty()) {
+      const auto& f = fl->faults[fault_index++ % fl->faults.size()];
       // Verify the target window bytes as a real injection would: one
       // ranged access over the whole window (the injector's verification
       // path) instead of per-instruction at() decodes.
-      const auto* win =
-          kernel_->active_image().window(f.addr, f.window() * isa::kInstrSize);
+      const auto* win = sub_.kernel->active_image().window(
+          f.addr, f.window() * isa::kInstrSize);
       if (win != nullptr) window_check ^= win[0];
       next_swap = now + exposure;
     }
-    (void)server_->state();  // monitor poll
+    (void)sub_.server->state();  // monitor poll
   };
 
-  auto m = client.run_window(*server_, gen, 0, duration_ms, tick);
+  auto m = client.run_window(*sub_.server, gen, 0, duration_ms,
+                             fl != nullptr ? spec::SpecClient::Tick(tick)
+                                           : spec::SpecClient::Tick());
   (void)window_check;
-  server_->stop();
+  sub_.server->stop();
   if (cfg_.obs != nullptr) {
-    cfg_.obs->journal.end("profile", duration_ms,
-                          kernel_->machine().total_cycles());
+    cfg_.obs->journal.end(label, duration_ms,
+                          sub_.kernel->machine().total_cycles());
   }
   profile_end();
   obs_end_run(m);
@@ -209,16 +181,14 @@ spec::WindowMetrics Controller::run_profile_mode(const swfit::Faultload& fl,
 
 IterationResult Controller::run_iteration(const swfit::Faultload& fl,
                                           std::uint64_t seed) {
-  if (!fl.matches(kernel_->pristine_digest(),
-                  kernel_->pristine_image().name())) {
+  if (!fl.matches(sub_.kernel->pristine_digest(),
+                  sub_.kernel->pristine_image().name())) {
     throw std::invalid_argument(
         "faultload was generated for a different OS build");
   }
-  obs_begin_run();
-  bring_up();
-  profile_begin();
+  begin_run();
 
-  spec::WorkloadGenerator gen(*fileset_, seed);
+  spec::WorkloadGenerator gen(*sub_.fileset, seed);
   const auto stride = static_cast<std::size_t>(std::max(1, cfg_.fault_stride));
   const auto offset =
       static_cast<std::size_t>(std::max(0, cfg_.fault_offset));
@@ -234,13 +204,13 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
   ccfg.spc_batch_ms =
       (total_faults == 1 ? 1 : 2) * cfg_.fault_exposure_ms * cfg_.time_scale;
   spec::SpecClient client(ccfg);
-  swfit::Injector injector(*kernel_);
+  swfit::Injector injector(*sub_.kernel);
   CampaignCounters counters;
 
   // Journal plumbing: fault spans are opened at inject and closed wherever
   // the fault actually ends (scheduled swap, admin restart, iteration end).
   obs::Journal* jr = cfg_.obs != nullptr ? &cfg_.obs->journal : nullptr;
-  auto cyc = [&] { return kernel_->machine().total_cycles(); };
+  auto cyc = [&] { return sub_.kernel->machine().total_cycles(); };
   auto obs_fault_end = [&](double now) {
     if (jr != nullptr && injector.active()) jr->end("fault", now, cyc());
   };
@@ -251,8 +221,8 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
   std::vector<trace::ActivationRecord> activations;
   std::uint64_t errors_at_begin = 0;
   if (cfg_.trace) {
-    tracer.emplace(*kernel_);
-    tracer->attach(*api_);
+    tracer.emplace(*sub_.kernel);
+    tracer->attach(*sub_.api);
     tracer->set_probe_per_call(cfg_.trace_probe_per_call);
   }
   auto finish_fault = [&] {
@@ -260,7 +230,7 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
     // Client-visible error responses during the exposure are externally
     // observed failures (baseline ER% is zero). Server restarts reset the
     // stats counter, but every restart path already notes the failure.
-    if (server_->stats().errors > errors_at_begin) {
+    if (sub_.server->stats().errors > errors_at_begin) {
       tracer->note_external_failure();
     }
     activations.push_back(tracer->end_fault());
@@ -284,8 +254,8 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
     finish_fault();
     obs_fault_end(now);
     injector.restore();  // the 10 s exposure of this fault effectively ends
-    server_->stop();
-    kernel_->reboot();   // administrator reboots the corrupted OS
+    sub_.server->stop();
+    sub_.kernel->reboot();   // administrator reboots the corrupted OS
     server_up_at = now + restart_time;
     if (jr != nullptr) jr->instant("admin_restart", now, cyc());
   };
@@ -293,13 +263,13 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
   auto tick = [&](double now) {
     // 1. Finish a pending restart.
     if (server_up_at >= 0 && now >= server_up_at) {
-      if (server_->state() == web::ServerState::kStopped) {
-        if (server_->start()) {
+      if (sub_.server->state() == web::ServerState::kStopped) {
+        if (sub_.server->start()) {
           server_up_at = -1;
           if (jr != nullptr) jr->instant("server_up", now, cyc());
         } else {
           // OS still too broken to boot the server; administrator retries.
-          kernel_->reboot();
+          sub_.kernel->reboot();
           server_up_at = now + restart_time;
         }
       } else {
@@ -318,9 +288,9 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
       if (injected_this_slot >= cfg_.faults_per_slot &&
           server_up_at < 0) {
         injected_this_slot = 0;
-        server_->stop();
-        kernel_->reboot();
-        if (!server_->start()) {
+        sub_.server->stop();
+        sub_.kernel->reboot();
+        if (!sub_.server->start()) {
           server_up_at = now + restart_time;  // retried in step 1
         }
         if (jr != nullptr) jr->instant("slot_reset", now, cyc());
@@ -331,7 +301,7 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
           throw std::runtime_error("stale faultload: window mismatch");
         }
         if (tracer) {
-          errors_at_begin = server_->stats().errors;
+          errors_at_begin = sub_.server->stats().errors;
           tracer->begin_fault(static_cast<std::uint32_t>(next_fault), f);
         }
         if (jr != nullptr) {
@@ -351,7 +321,7 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
 
     // 3. Monitor the BT. Detection takes `detect` ms from the first
     // observation of a failed state.
-    const auto state = server_->state();
+    const auto state = sub_.server->state();
     if (state == web::ServerState::kRunning ||
         state == web::ServerState::kStopped) {
       failure_noticed_at = -1;
@@ -384,8 +354,10 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
         // clean — only the injected code fault itself can persist.
         const bool budget_left =
             self_restarts_this_fault < cfg_.self_restart_budget;
-        if (budget_left && server_->has_self_restart()) kernel_->reboot();
-        if (budget_left && server_->try_self_restart()) {
+        if (budget_left && sub_.server->has_self_restart()) {
+          sub_.kernel->reboot();
+        }
+        if (budget_left && sub_.server->try_self_restart()) {
           ++self_restarts_this_fault;
           ++counters.self_restarts;
           if (jr != nullptr) jr->instant("self_restart", now, cyc());
@@ -403,14 +375,14 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
   const double duration = static_cast<double>(total_faults) * exposure;
   // Narrative logging is debug-level; live campaign progress comes from the
   // rate-limited reporter (cfg_.progress) instead of per-iteration spam.
-  GF_DEBUG() << "campaign iteration: " << server_->name() << " on "
-             << os::os_version_name(kernel_->version()) << ", "
+  GF_DEBUG() << "campaign iteration: " << sub_.server->name() << " on "
+             << os::os_version_name(sub_.kernel->version()) << ", "
              << total_faults << " faults, " << duration / 1000 << " sim-s";
   if (jr != nullptr) {
     jr->begin("iteration", 0, cyc(),
               "{\"faults\": " + std::to_string(total_faults) + "}");
   }
-  auto metrics = client.run_window(*server_, gen, 0, duration, tick);
+  auto metrics = client.run_window(*sub_.server, gen, 0, duration, tick);
   GF_DEBUG() << "iteration done: ops=" << metrics.ops
              << " er%=" << metrics.er_pct << " mis=" << counters.mis
              << " kns=" << counters.kns << " kcp=" << counters.kcp;
@@ -418,7 +390,7 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
   finish_fault();
   obs_fault_end(duration);
   injector.restore();
-  server_->stop();
+  sub_.server->stop();
   if (jr != nullptr) jr->end("iteration", duration, cyc());
   trace::sort_records(activations);
   if (cfg_.obs != nullptr) {
@@ -436,11 +408,8 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
     r.add("inject.verify_failures", injector.verify_failures());
     trace::export_metrics(activations, r);
   }
-  // Harvest (incl. the end-state invariant probe) before the scrub reboot
-  // erases what the iteration did to the kernel.
   profile_end();
   obs_end_run(metrics);
-  kernel_->reboot();
 
   IterationResult result;
   result.metrics = metrics;

@@ -13,6 +13,11 @@
 // runs (Table 4): in profile mode the injector performs every task of an
 // injection campaign except the actual code patch, which measures the
 // instrumentation overhead.
+//
+// A controller drives one SUB that is already up and serving, from one of
+// two state sources: a live bring-up (snapshot::bring_up, the cold path) or
+// a warm-boot snapshot (snapshot::restore). Either way the bring-up lies
+// outside every run, so both produce the same results and artifacts.
 #pragma once
 
 #include <memory>
@@ -58,10 +63,9 @@ struct ControllerConfig {
   bool trace_probe_per_call = false;
   /// Virtual-cycle sampling stride for the deterministic guest profiler
   /// (0 = off). When set (and `obs` is non-null) the VM's PC sampler is
-  /// armed after bring-up and harvested into obs->profile before the run's
-  /// scrub, attributed to functions via the pristine image's symbol table.
-  /// Arming after bring-up keeps cold-built and warm-snapshot controllers
-  /// bit-identical (boot/start/warm-up cycles are excluded either way).
+  /// armed at run entry and harvested into obs->profile at run exit,
+  /// attributed to functions via the pristine image's symbol table. The
+  /// bring-up precedes every run, so its cycles are never sampled.
   std::uint64_t profile_stride = 0;
   /// Per-task observability bundle (metrics + journal), owned by the caller.
   /// Null (the default) compiles the campaign down to a handful of
@@ -94,15 +98,15 @@ struct IterationResult {
 
 class Controller {
  public:
-  /// Builds a fresh SUB: kernel of `version`, file set, server `name`.
+  /// Cold path: brings up a fresh SUB (snapshot::bring_up) — kernel of
+  /// `version`, file set, server `server_name`, started and warmed.
   Controller(os::OsVersion version, const std::string& server_name,
              ControllerConfig cfg = {});
 
-  /// Reconstructs a warmed SUB from a shared warm-boot snapshot: the kernel
-  /// resumes post-boot/post-server-start (no MiniC compile, no boot, no
-  /// file-set regeneration), and the first run_* call skips its bring-up —
-  /// the snapshot was captured exactly there, so results are bit-identical
-  /// to a cold-built controller's.
+  /// Warm path: restores the SUB a warm-boot snapshot captured
+  /// (snapshot::restore) — no MiniC compile, no boot, no file-set
+  /// regeneration. Its runs are byte-identical to a cold-built
+  /// controller's.
   Controller(std::shared_ptr<const snapshot::WarmSnapshot> snap,
              ControllerConfig cfg = {});
 
@@ -111,18 +115,19 @@ class Controller {
   /// back. Restored: the kernel (machine pages written since the last
   /// construction/reset, the whole kernel data region, active image, disk,
   /// boot replay, ticks — see os::Kernel::reset), the server's process
-  /// image, the OsApi metrics sink (re-pointed at cfg.obs, or detached) and
-  /// the skipped-bring-up flag. Unchanged and never snapshot state: the file
-  /// set (a pure function of the snapshot), execution-strategy switches set
-  /// on the machine (fusion), and the lifetime counters — vm::DispatchStats
-  /// and os::KernelCounters keep counting across resets, and every consumer
-  /// reads them as per-run deltas. Every run_* result after a reset is
-  /// byte-identical to the same run on a fresh Controller(snap, cfg),
-  /// whatever the controller ran before (tests/test_snapshot.cpp).
-  /// `snap` must be the snapshot this controller was built from; anything
-  /// else (or a cold-built controller) throws std::invalid_argument.
-  void reset(const std::shared_ptr<const snapshot::WarmSnapshot>& snap,
-             ControllerConfig cfg);
+  /// image and the OsApi metrics sink (re-pointed at cfg.obs, or detached).
+  /// Unchanged and never snapshot state: the file set (a pure function of
+  /// the snapshot), execution-strategy switches set on the machine (fusion),
+  /// and the lifetime counters — vm::DispatchStats and os::KernelCounters
+  /// keep counting across resets, and every consumer reads them as per-run
+  /// deltas. Every run_* result after a reset is byte-identical to the same
+  /// run on a fresh Controller(snap, cfg), whatever the controller ran
+  /// before (tests/test_snapshot.cpp). A cold-built controller has no
+  /// snapshot to return to: reset() throws std::logic_error.
+  void reset(ControllerConfig cfg);
+
+  // Each run_* may be called once per build or reset; a second call throws
+  // std::logic_error.
 
   /// Baseline performance (no injector at all).
   spec::WindowMetrics run_baseline(double duration_ms, std::uint64_t seed);
@@ -136,19 +141,23 @@ class Controller {
   /// One full campaign iteration over the faultload.
   IterationResult run_iteration(const swfit::Faultload& fl, std::uint64_t seed);
 
-  os::Kernel& kernel() noexcept { return *kernel_; }
-  web::WebServer& server() noexcept { return *server_; }
+  os::Kernel& kernel() noexcept { return *sub_.kernel; }
+  web::WebServer& server() noexcept { return *sub_.server; }
 
  private:
-  struct MonitorState;
+  /// Takes on `cfg` for the next run; shared by both constructors and
+  /// reset() so the paths cannot drift.
+  void configure(ControllerConfig cfg);
 
-  /// Run-entry bring-up (OS reboot + server start), skipped once on a
-  /// warm-constructed controller whose snapshot already contains it.
-  void bring_up();
+  /// Run entry: enforces one run per build or reset, then opens the obs
+  /// and profiler windows.
+  void begin_run();
 
-  /// The controller-level state a warm snapshot restores, shared by the
-  /// warm constructor and reset() so the two paths cannot drift.
-  void adopt(const snapshot::WarmSnapshot& snap, ControllerConfig cfg);
+  /// The serving window shared by run_baseline and run_profile_mode;
+  /// `fl` non-null selects profile mode.
+  spec::WindowMetrics serve_window(const char* label,
+                                   const swfit::Faultload* fl,
+                                   double duration_ms, std::uint64_t seed);
 
   /// Observability harvest window: begin records the lifetime counter
   /// baselines, end folds the deltas (VM dispatch, kernel activity, client
@@ -156,24 +165,20 @@ class Controller {
   void obs_begin_run();
   void obs_end_run(const spec::WindowMetrics& m);
 
-  /// Guest profiler window: begin arms the VM's PC sampler (after bring-up,
-  /// so boot cycles never pollute the profile), end harvests the samples
-  /// into obs->profile attributed by function symbol and disarms. No-ops
-  /// unless cfg_.profile_stride != 0 and cfg_.obs is set.
+  /// Guest profiler window: begin arms the VM's PC sampler, end harvests the
+  /// samples into obs->profile attributed by function symbol and disarms.
+  /// No-ops unless cfg_.profile_stride != 0 and cfg_.obs is set.
   void profile_begin();
   void profile_end();
 
   ControllerConfig cfg_;
   vm::DispatchStats obs_vm_base_;
   os::KernelCounters obs_kernel_base_;
-  std::unique_ptr<os::Kernel> kernel_;
-  std::unique_ptr<os::OsApi> api_;
-  std::unique_ptr<spec::Fileset> fileset_;
-  std::unique_ptr<web::WebServer> server_;
   /// The snapshot a warm controller was built from (null when cold-built);
-  /// held so the kernel's dirty baseline stays alive.
+  /// held so the kernel's reset origin stays alive.
   std::shared_ptr<const snapshot::WarmSnapshot> snap_;
-  bool warm_started_ = false;
+  snapshot::Sub sub_;
+  bool ran_ = false;
 };
 
 }  // namespace gf::depbench

@@ -266,7 +266,6 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
     std::vector<std::vector<std::size_t>> miss;
     std::vector<std::vector<Chunk>> iter_chunks;  ///< chunks over miss[it]
   };
-  const FaultCostModel cost_model{opt_.cost_profile, opt_.cost_traces};
   std::vector<CellPlan> plan(n_cells);
   std::size_t total_slots = 0;
   for (std::size_t cell = 0; cell < n_cells; ++cell) {
@@ -276,7 +275,7 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
     cp.fl = &faultload_for(cp.version);
     const auto n = cp.fl->faults.size();
     cp.positions = n == 0 ? 0 : (n + stride - 1) / stride;
-    const auto fault_costs = estimate_fault_costs(*cp.fl, cost_model);
+    const auto fault_costs = estimate_fault_costs(*cp.fl, FaultCostModel{});
     cp.pos_cost.resize(cp.positions);
     for (std::size_t p = 0; p < cp.positions; ++p) {
       cp.pos_cost[p] = fault_costs[p * stride];
@@ -467,7 +466,7 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
                              const ControllerConfig& c, const auto& body) {
     auto& s = slots[worker];
     if (opt_.warm_boot && s.ctl != nullptr && s.cell == cell) {
-      s.ctl->reset(warm[cell], c);
+      s.ctl->reset(c);
     } else {
       s.ctl.reset();  // at most one controller per worker at any time
       s.ctl = opt_.warm_boot ? std::make_unique<Controller>(warm[cell], c)

@@ -14,9 +14,9 @@
 // in the cell's warm-snapshot state — the worker's Controller for that cell
 // reset in place (Controller::reset, byte-identical to a fresh one whatever
 // it ran before), or a fresh Controller when the worker last ran another
-// cell (or cold-built; bit-identical either way, see src/snapshot), seeded
-// by derive_seed(seed, cell, task)
-// where the task id is a pure function of (iteration, schedule position).
+// cell (or brought up live; byte-identical either way, see src/snapshot),
+// seeded by derive_seed(seed, cell, task) where the task id is a pure
+// function of (iteration, schedule position).
 // Results land in preallocated per-fault slots and merge_fault_runs() folds
 // them in schedule order, so the campaign results, the merged registry, the
 // slot-ordered journal and the activation records are byte-identical for any
@@ -50,10 +50,6 @@ struct RunnerOptions {
   /// the cost model size chunks adaptively (see depbench/scheduler).
   /// Results are identical for any value.
   int chunk = 0;
-  /// Optional cost-model inputs (both may be null — the model falls back to
-  /// per-fault-type activation priors). Borrowed, not owned.
-  const ApiProfile* cost_profile = nullptr;
-  const std::vector<trace::ActivationRecord>* cost_traces = nullptr;
   /// Optional preloaded faultload (e.g. a portable faultload file loaded by
   /// gfbench). Used for every version in `versions` instead of scanning the
   /// kernel image — the caller must ensure it matches the target build(s).
@@ -69,12 +65,12 @@ struct RunnerOptions {
   /// `jobs`, and the fault-index sort makes the merge order-independent.
   bool trace = false;
   bool trace_probe_per_call = false;
-  /// Warm-boot snapshots: build each (OS version, server) cell's SUB once,
-  /// capture the post-boot/post-server-start state, and let every fault
-  /// run reconstruct its private controller from the shared snapshot
-  /// instead of re-compiling/booting from scratch. Bit-identical results
-  /// for any `jobs` value (the capture mirrors the cold bring-up exactly);
-  /// off = the original cold path, kept for A/B and equivalence tests.
+  /// Warm-boot snapshots: bring each (OS version, server) cell's SUB up
+  /// once, capture it, and let every fault run restore its controller from
+  /// the shared snapshot instead of re-compiling/booting from scratch. Off
+  /// = every run brings up a live SUB of its own (snapshot::bring_up), kept
+  /// for A/B timing and as the snapshot oracle; results and obs artifacts
+  /// are byte-identical either way.
   bool warm_boot = true;
   /// VM superinstruction fusion (--no-fusion turns it off). Pure execution
   /// strategy: architectural results, activation traces and obs artifacts

@@ -16,8 +16,4 @@ std::string disassemble(const Instr& in);
 /// Whole image: "addr: <symbol?>  text" per line.
 std::string disassemble(const Image& img);
 
-/// A window of `count` instructions starting at absolute address `addr`.
-std::string disassemble_window(const Image& img, std::uint64_t addr,
-                               int count);
-
 }  // namespace gf::isa

@@ -36,17 +36,6 @@ bool decode_into(const std::uint8_t* bytes, Instr& out) noexcept {
   return out.rd < kNumRegs && out.rs1 < kNumRegs && out.rs2 < kNumRegs;
 }
 
-void decode_block(const std::uint8_t* bytes, std::size_t nbytes,
-                  std::vector<Instr>& out) {
-  const std::size_t n = nbytes / kInstrSize;
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!decode_into(bytes + i * kInstrSize, out[i])) {
-      out[i] = Instr{Op::kOpCount_, 0, 0, 0, 0};
-    }
-  }
-}
-
 bool is_branch(Op op) noexcept {
   switch (op) {
     case Op::kJz:
@@ -83,8 +72,6 @@ bool is_alu(Op op) noexcept {
       return false;
   }
 }
-
-bool writes_reg(const Instr& in) noexcept { return dest_reg(in).has_value(); }
 
 std::optional<std::uint8_t> dest_reg(const Instr& in) noexcept {
   switch (in.op) {

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace gf::isa {
 
@@ -109,18 +108,10 @@ std::optional<Instr> decode(const std::uint8_t* bytes) noexcept;
 /// encoding.
 bool decode_into(const std::uint8_t* bytes, Instr& out) noexcept;
 
-/// Decodes `nbytes / kInstrSize` consecutive instructions into `out`
-/// (resized to that count). Undecodable slots are stored with
-/// op == Op::kOpCount_, which no interpreter path will ever execute — the
-/// predecode side-table of the VM uses this as its "bad opcode" marker.
-void decode_block(const std::uint8_t* bytes, std::size_t nbytes,
-                  std::vector<Instr>& out);
-
 /// Instruction-class predicates used by the VM and the mutation scanner.
 bool is_branch(Op op) noexcept;       ///< conditional jump
 bool is_jump(Op op) noexcept;         ///< any control transfer (jmp/branch/call/ret)
 bool is_alu(Op op) noexcept;          ///< three-operand ALU ops
-bool writes_reg(const Instr& in) noexcept;
 /// Destination register if the instruction writes one.
 std::optional<std::uint8_t> dest_reg(const Instr& in) noexcept;
 /// True if `in` reads register r.

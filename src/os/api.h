@@ -117,7 +117,6 @@ class OsApi {
   obs::ApiMetrics* metrics() const noexcept { return metrics_; }
 
   std::uint64_t cycle_budget() const noexcept { return cycle_budget_; }
-  void set_cycle_budget(std::uint64_t b) noexcept { cycle_budget_ = b; }
 
   /// Cumulative cycles consumed by API calls through this facade.
   std::uint64_t total_cycles() const noexcept { return total_cycles_; }

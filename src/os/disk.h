@@ -44,8 +44,6 @@ class SimDisk {
   std::optional<std::int64_t> write(int id, std::int64_t offset,
                                     const std::uint8_t* src, std::int64_t len);
 
-  std::size_t file_count() const noexcept { return files_.size(); }
-
   /// Content access for test assertions.
   const std::vector<std::uint8_t>* content(const std::string& path) const;
 

@@ -61,12 +61,11 @@ Kernel::Kernel(const KernelSnapshot& snap)
   restore_from(snap, /*full=*/true);
 }
 
-void Kernel::reset(const KernelSnapshot& snap) {
-  if (&snap != origin_) {
-    throw std::invalid_argument(
-        "Kernel::reset: not the snapshot this kernel was built from");
+void Kernel::reset() {
+  if (origin_ == nullptr) {
+    throw std::logic_error("Kernel::reset: no snapshot to return to");
   }
-  restore_from(snap, /*full=*/false);
+  restore_from(*origin_, /*full=*/false);
 }
 
 void Kernel::restore_from(const KernelSnapshot& snap, bool full) {

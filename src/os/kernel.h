@@ -81,20 +81,20 @@ class Kernel {
   /// from.
   explicit Kernel(const KernelSnapshot& snap);
 
-  /// Returns a used kernel to `snap` in O(dirty): only the machine pages
-  /// written since the last construction/reset are copied back (restored
-  /// code pages re-decode), plus the whole kernel data region (see
-  /// restore_from). The active image, disk (a copy-on-write copy), boot
-  /// replay and tick counter are reset too, and any armed watch or sampler
-  /// is disarmed. Afterwards the kernel is indistinguishable from a fresh
-  /// Kernel(snap), except for the lifetime counters() and the machine's
-  /// dispatch_stats(), which keep counting (consumers read deltas), and for
-  /// settings (set_warm_reboot, the machine's predecode/fusion switches),
-  /// which are kept.
-  /// `snap` must be the snapshot this kernel was constructed from or last
-  /// reset to — the dirty bitmap only tracks writes since then — and must
-  /// still be alive; anything else throws std::invalid_argument.
-  void reset(const KernelSnapshot& snap);
+  /// Returns a used warm kernel to the snapshot it was constructed from in
+  /// O(dirty): only the machine pages written since the last
+  /// construction/reset are copied back (restored code pages re-decode),
+  /// plus the whole kernel data region (see restore_from). The active image,
+  /// disk (a copy-on-write copy), boot replay and tick counter are reset
+  /// too, and any armed watch or sampler is disarmed. Afterwards the kernel
+  /// is indistinguishable from a fresh Kernel(snap), except for the lifetime
+  /// counters() and the machine's dispatch_stats(), which keep counting
+  /// (consumers read deltas), and for settings (set_warm_reboot, the
+  /// machine's predecode/fusion switches), which are kept.
+  /// The snapshot must still be alive. A cold-built kernel, or one whose
+  /// dirty bitmap snapshot() has rebased, has no origin to return to:
+  /// reset() throws std::logic_error.
+  void reset();
 
   OsVersion version() const noexcept { return version_; }
   vm::Machine& machine() noexcept { return *machine_; }
@@ -183,7 +183,7 @@ class Kernel {
   std::array<std::uint64_t, kNumApiFns> api_addrs_{};  ///< 0 = not in image
   std::shared_ptr<const BootReplay> boot_;  ///< set by the first cold boot
   /// The snapshot the machine's dirty bitmap is relative to (null for a
-  /// cold-built kernel); reset() requires it.
+  /// cold-built kernel and after snapshot()); reset() returns to it.
   const KernelSnapshot* origin_ = nullptr;
   bool warm_reboot_ = true;
   std::uint64_t tick_ = 0;

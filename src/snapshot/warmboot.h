@@ -1,28 +1,30 @@
-// Warm-boot snapshots for campaign iterations.
+// SUB bring-up and warm-boot snapshots for campaign runs.
 //
-// A campaign task's bring-up — compile the OS image, boot the kernel, build
-// the SPECWeb file set, start the server — is identical for every task of a
-// (OS version, server) cell, yet the sharded runner used to repeat it per
-// task and per iteration. Following ZOFI's clone-the-warmed-process model,
-// this subsystem performs the bring-up ONCE per cell, captures the complete
-// machine + kernel + server-process state right after server start and the
-// deterministic warm-up serve (spec::warm_server), and lets
-// every task reconstruct its private SUB from the shared snapshot in
-// O(memory copy) — or reset a used one in place in O(dirty)
-// (depbench::Controller::reset): no MiniC compilation, no boot execution,
-// no file-set regeneration (disk content is copy-on-write, so tasks share
-// file bytes until they write).
+// Every run of a campaign exposes its faults on a SUB in one steady state:
+// OS booted, server started and serving. bring_up() is the one place that
+// builds that state — compile the OS image, boot the kernel, build the
+// SPECWeb file set, start the server and serve the deterministic warm-up
+// (spec::warm_server) — and it returns the live SUB.
 //
-// Bit-identity: the capture sequence below mirrors, call for call, what a
-// cold Controller does up to the first fault exposure (constructor bring-up,
-// then reboot + server start at run entry), so the restored machine resumes
-// at the exact cycle/tick counters a cold run would have — campaign results
-// are bit-identical with snapshots on or off (tests/test_snapshot.cpp).
+// A live SUB is one state source for a depbench::Controller; a snapshot is
+// the other. Following ZOFI's clone-the-warmed-process model,
+// capture_warm_boot() brings one SUB up per (OS version, server) cell and
+// captures its complete machine + kernel + server-process state, and
+// restore() rebuilds an identical SUB from that capture in O(memory copy):
+// no MiniC compilation, no boot execution, no file-set regeneration (disk
+// content is copy-on-write, so tasks share file bytes until they write). A
+// used restored SUB returns to the capture in O(dirty)
+// (depbench::Controller::reset).
+//
+// Bit-identity: a restored SUB resumes at the exact cycle/tick counters of
+// the live SUB it was captured from, so a run on either produces the same
+// results and the same observability artifacts (tests/test_snapshot.cpp).
 #pragma once
 
 #include <memory>
 #include <string>
 
+#include "os/api.h"
 #include "os/kernel.h"
 #include "spec/fileset.h"
 #include "web/server.h"
@@ -32,7 +34,7 @@ namespace gf::snapshot {
 /// Everything a campaign task needs to reconstruct a warmed SUB: kernel
 /// state (machine memory, images, boot replay, disk, ticks) plus the
 /// server's C++-side process image and the file-set shape. Plain data —
-/// shared read-only across shard threads via shared_ptr<const>.
+/// shared read-only across worker threads via shared_ptr<const>.
 struct WarmSnapshot {
   os::KernelSnapshot kernel;
   web::ProcessImage server;
@@ -44,12 +46,28 @@ struct WarmSnapshot {
   std::uint64_t capture_cycles = 0;
 };
 
-/// Builds one cold SUB cell (kernel of `version`, populated file set,
-/// server `server_name`), performs the run-entry bring-up (OS reboot +
-/// server start), and captures the warmed state. Throws when the server
-/// fails to start on the pristine OS.
+/// One live SUB: the objects a campaign run drives. Each is heap-held so
+/// its address is stable — the OsApi refers to the kernel, the server to
+/// the OsApi, and the file set describes the kernel's disk.
+struct Sub {
+  std::unique_ptr<os::Kernel> kernel;
+  std::unique_ptr<os::OsApi> api;
+  std::unique_ptr<spec::Fileset> fileset;
+  std::unique_ptr<web::WebServer> server;
+};
+
+/// Builds a SUB of `version` with a populated file set and server
+/// `server_name`, then brings it up: OS reboot, server start, warm-up serve.
+/// Throws std::runtime_error when the server fails to start on the pristine
+/// OS.
+Sub bring_up(os::OsVersion version, const std::string& server_name);
+
+/// Rebuilds the SUB `snap` captured. Its kernel keeps `snap.kernel` as its
+/// reset origin (os::Kernel::reset), so `snap` must outlive the SUB.
+Sub restore(const WarmSnapshot& snap);
+
+/// Brings up one SUB cell (see bring_up) and captures the warmed state.
 std::shared_ptr<const WarmSnapshot> capture_warm_boot(
-    os::OsVersion version, const std::string& server_name,
-    const spec::FilesetConfig& fileset = {});
+    os::OsVersion version, const std::string& server_name);
 
 }  // namespace gf::snapshot

@@ -33,7 +33,6 @@ class BufWriter {
     for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// Bit-exact double: the IEEE-754 pattern as u64.
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(std::string_view s) {
@@ -73,7 +72,6 @@ class BufReader {
     return v;
   }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
   std::string str() {
     const auto n = u32();

@@ -58,7 +58,6 @@ const FaultTypeInfo& fault_type_info(FaultType t);
 
 const char* fault_type_name(FaultType t);
 const char* odc_class_name(OdcClass c);
-const char* nature_name(ConstructNature n);
 
 /// Parses an acronym ("MIFS"); nullopt for unknown strings.
 std::optional<FaultType> parse_fault_type(const std::string& name);

@@ -43,9 +43,6 @@ struct Faultload {
   /// Faults per fault type, Table 1 order (the paper's Table 3 row).
   std::array<int, kNumFaultTypes> counts_by_type() const;
 
-  /// Faults within a given function.
-  int count_in_function(const std::string& name) const;
-
   /// Line-oriented text format (stable, diff-friendly).
   std::string serialize() const;
   static Faultload parse(const std::string& text);

@@ -56,10 +56,4 @@ double ci95_halfwidth(const std::vector<double>& xs) noexcept {
   return 1.96 * stdev(xs) / std::sqrt(static_cast<double>(xs.size()));
 }
 
-double cov(const std::vector<double>& xs) noexcept {
-  const double m = mean(xs);
-  if (m == 0.0) return 0.0;
-  return stdev(xs) / m;
-}
-
 }  // namespace gf::util

@@ -40,8 +40,4 @@ double percentile(std::vector<double> xs, double p) noexcept;
 /// Half-width of the ~95% confidence interval of the mean assuming
 /// normality (1.96 * s / sqrt(n)); 0 for n < 2.
 double ci95_halfwidth(const std::vector<double>& xs) noexcept;
-
-/// Coefficient of variation (stdev/mean); 0 when the mean is 0.
-double cov(const std::vector<double>& xs) noexcept;
-
 }  // namespace gf::util

@@ -51,10 +51,6 @@ struct DispatchStats {
   std::uint64_t instructions = 0;  ///< instructions retired (incl. the trap op)
   std::uint64_t runs = 0;          ///< execute() invocations
   std::array<std::uint64_t, kNumTraps> traps{};  ///< indexed by Trap value
-
-  std::uint64_t trap_count(Trap t) const noexcept {
-    return traps[static_cast<std::size_t>(t)];
-  }
 };
 
 /// Outcome of one run/call.
@@ -322,7 +318,6 @@ class Machine {
   /// Disarms the sampler; accumulated samples stay readable.
   void disarm_sampler();
   bool sampler_armed() const noexcept { return sample_stride_ != 0; }
-  std::uint64_t sampler_stride() const noexcept { return sample_stride_; }
   /// Accumulated samples since the last arm, keyed by instruction address.
   const std::map<std::uint64_t, std::uint64_t>& samples() const noexcept {
     return samples_;

@@ -101,9 +101,11 @@ TEST_F(CampaignTest, BaselineHasNoErrorsAndFullConformance) {
 
 TEST_F(CampaignTest, ProfileModeOverheadIsSmall) {
   const auto fl = faultload(os::OsVersion::kVos2000);
-  Controller ctl(os::OsVersion::kVos2000, "apex", quick_config("apex"));
-  const auto base = ctl.run_baseline(20000, 1);
-  const auto prof = ctl.run_profile_mode(fl, 20000, 1);
+  // A controller runs once per build: one SUB per window.
+  Controller base_ctl(os::OsVersion::kVos2000, "apex", quick_config("apex"));
+  const auto base = base_ctl.run_baseline(20000, 1);
+  Controller prof_ctl(os::OsVersion::kVos2000, "apex", quick_config("apex"));
+  const auto prof = prof_ctl.run_profile_mode(fl, 20000, 1);
   EXPECT_EQ(prof.errors, 0u);
   EXPECT_EQ(prof.spc, base.spc);  // no SPC impact (paper Table 4)
   EXPECT_GT(prof.thr, base.thr * 0.97);  // <3% THR impact
@@ -131,9 +133,10 @@ TEST_F(CampaignTest, RepeatabilityAcrossSeeds) {
   // The paper's repeatability property: iterations with different seeds
   // yield similar results (identical seeds yield identical results).
   const auto fl = faultload(os::OsVersion::kVos2000);
-  Controller ctl(os::OsVersion::kVos2000, "apex", quick_config("apex"));
-  const auto a = ctl.run_iteration(fl, 5);
-  const auto b = ctl.run_iteration(fl, 5);
+  Controller first(os::OsVersion::kVos2000, "apex", quick_config("apex"));
+  const auto a = first.run_iteration(fl, 5);
+  Controller second(os::OsVersion::kVos2000, "apex", quick_config("apex"));
+  const auto b = second.run_iteration(fl, 5);
   EXPECT_EQ(a.metrics.ops, b.metrics.ops);
   EXPECT_EQ(a.metrics.errors, b.metrics.errors);
   EXPECT_EQ(a.counters.mis, b.counters.mis);

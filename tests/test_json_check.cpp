@@ -113,10 +113,13 @@ TEST(JsonCheckTest, CommittedArtifactsPass) {
   EXPECT_EQ(json_check("--jsonl " + golden + "journal.jsonl"), 0);
   EXPECT_EQ(json_check("--schema micro " + kSource + "/BENCH_micro.json"), 0);
   EXPECT_EQ(json_check("--schema store " + kSource + "/BENCH_store.json"), 0);
-  EXPECT_EQ(json_check(kSource + "/BENCH_obs.json " + kSource +
-                       "/BENCH_snapshot.json " + kSource +
-                       "/BENCH_activation.json"),
+  EXPECT_EQ(json_check("--schema activation " + kSource +
+                       "/BENCH_activation.json " + golden +
+                       "activation_summary.json"),
             0);
+  EXPECT_EQ(json_check("--schema snapshot " + kSource + "/BENCH_snapshot.json"),
+            0);
+  EXPECT_EQ(json_check("--schema obs " + kSource + "/BENCH_obs.json"), 0);
 }
 
 TEST(JsonCheckTest, InlineArtifactsPass) {
@@ -267,6 +270,22 @@ TEST(JsonCheckTest, MicroMutationsAreRefused) {
        {",\n   \"bytes_per_second\": 5e9", ""},
        {"BM_VmDispatch/1000", "BM_VmDispatchNoFusion/1000"},  // none left
        {"\"benchmarks\": [", "\"benchmarks\": [], \"b\": ["}});
+}
+
+// The three bench summaries are flat ratio records: a renamed key must not
+// pass.
+TEST(JsonCheckTest, BenchSummaryMutationsAreRefused) {
+  expect_refused("activation", read_file(kSource + "/BENCH_activation.json"),
+                 {{"\"activation_rate\"", "\"activation_ratio\""},
+                  {"\"rate\": 0.8000", "\"ratio\": 0.8000"}});
+  expect_refused(
+      "activation",
+      read_file(kSource + "/tests/golden/activation_summary.json"),
+      {{"\"injected\": 7", "\"injections\": 7"}});
+  expect_refused("snapshot", read_file(kSource + "/BENCH_snapshot.json"),
+                 {{"\"campaign_speedup\"", "\"campaign_speed\""}});
+  expect_refused("obs", read_file(kSource + "/BENCH_obs.json"),
+                 {{"\"api_obs_overhead\"", "\"api_overhead\""}});
 }
 
 TEST(JsonCheckTest, UsageErrorsExitTwo) {

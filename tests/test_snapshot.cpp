@@ -1,8 +1,8 @@
 // Tests for the warm-boot snapshot subsystem: dirty-page tracking and
 // snapshot/restore at the VM layer, boot-replay equivalence at the kernel
 // layer, copy-on-write disk isolation, scan memoization, and the headline
-// property — campaign results bit-identical with snapshots on or off, for
-// any worker count.
+// property — campaign results and obs artifacts bit-identical with
+// snapshots on or off, for any worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +11,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "depbench/campaign_report.h"
 #include "depbench/controller.h"
 #include "depbench/runner.h"
 #include "minic/compiler.h"
@@ -322,75 +324,6 @@ void expect_same_records(const std::vector<trace::ActivationRecord>& a,
   }
 }
 
-TEST(SnapshotEquivalenceTest, WarmControllerIterationMatchesColdBoot) {
-  constexpr auto kVersion = os::OsVersion::kVos2000;
-  swfit::Faultload fl;
-  {
-    os::Kernel scan_kernel(kVersion);
-    fl = swfit::Scanner{}.scan(scan_kernel.pristine_image(), all_api_names());
-  }
-  db::ControllerConfig cfg;
-  cfg.time_scale = 0.2;
-  cfg.fault_stride = 17;
-  cfg.trace = true;  // first_hit_cycle is an *absolute* VM cycle: the
-                     // strictest observable the warm path could get wrong
-
-  db::Controller cold(kVersion, "apex", cfg);
-  const auto want = cold.run_iteration(fl, 42);
-
-  const auto snap = snapshot::capture_warm_boot(kVersion, "apex");
-  db::Controller warm(snap, cfg);
-  const auto got = warm.run_iteration(fl, 42);
-
-  expect_same_metrics(want.metrics, got.metrics);
-  expect_same_counters(want.counters, got.counters);
-  expect_same_records(want.activations, got.activations);
-}
-
-TEST(SnapshotEquivalenceTest, CampaignIdenticalWithSnapshotsOnOrOffForAnyJobs) {
-  db::RunnerOptions opt;
-  opt.versions = {os::OsVersion::kVos2000};
-  opt.servers = {"apex", "abyssal"};
-  opt.iterations = 1;
-  opt.stride = 17;
-  opt.time_scale = 0.2;
-  opt.baseline_window_ms = 15000;
-  opt.seed = 42;
-  opt.trace = true;
-
-  opt.warm_boot = false;
-  opt.jobs = 1;
-  const auto cold = db::CampaignRunner(opt).run_campaign();
-  opt.warm_boot = true;
-  const auto warm1 = db::CampaignRunner(opt).run_campaign();
-  opt.jobs = 4;
-  const auto warm4 = db::CampaignRunner(opt).run_campaign();
-
-  for (const auto* run : {&warm1, &warm4}) {
-    ASSERT_EQ(cold.size(), run->size());
-    for (std::size_t c = 0; c < cold.size(); ++c) {
-      SCOPED_TRACE(cold[c].os_name + "/" + cold[c].server_name);
-      EXPECT_EQ(cold[c].server_name, (*run)[c].server_name);
-      expect_same_metrics(cold[c].baseline, (*run)[c].baseline);
-      ASSERT_EQ(cold[c].iterations.size(), (*run)[c].iterations.size());
-      for (std::size_t i = 0; i < cold[c].iterations.size(); ++i) {
-        expect_same_metrics(cold[c].iterations[i].metrics,
-                            (*run)[c].iterations[i].metrics);
-        expect_same_counters(cold[c].iterations[i].counters,
-                             (*run)[c].iterations[i].counters);
-        expect_same_records(cold[c].iterations[i].activations,
-                            (*run)[c].iterations[i].activations);
-      }
-    }
-  }
-}
-
-
-// ---------------------------------------------------------------------------
-// Controller reset: a reused controller is indistinguishable from a fresh
-// Controller(snap), whatever it ran before
-// ---------------------------------------------------------------------------
-
 /// Everything one fault run produces, rendered to bytes.
 struct RunBytes {
   std::string error;  ///< what() of a run that threw, empty otherwise
@@ -440,23 +373,118 @@ void expect_same_run(const RunBytes& want, const RunBytes& got) {
   EXPECT_TRUE(want.record == got.record) << "store encodings differ";
 }
 
+TEST(SnapshotEquivalenceTest, WarmControllerIterationMatchesColdBoot) {
+  constexpr auto kVersion = os::OsVersion::kVos2000;
+  swfit::Faultload fl;
+  {
+    os::Kernel scan_kernel(kVersion);
+    fl = swfit::Scanner{}.scan(scan_kernel.pristine_image(), all_api_names());
+  }
+  db::ControllerConfig cfg;
+  cfg.time_scale = 0.2;
+  cfg.fault_stride = 17;
+  cfg.trace = true;  // first_hit_cycle is an *absolute* VM cycle: the
+                     // strictest observable the warm path could get wrong
+  cfg.profile_stride = 4096;
+
+  // The bring-up happens before the run on both paths, so not only the
+  // results but every obs artifact — registry (api sink included),
+  // journal, profile — is byte-identical.
+  db::TaskObs cold_obs;
+  cfg.obs = &cold_obs;
+  db::Controller cold(kVersion, "apex", cfg);
+  const auto want = run_bytes(cold, fl, cold_obs, 42);
+
+  const auto snap = snapshot::capture_warm_boot(kVersion, "apex");
+  db::TaskObs warm_obs;
+  cfg.obs = &warm_obs;
+  db::Controller warm(snap, cfg);
+  const auto got = run_bytes(warm, fl, warm_obs, 42);
+
+  ASSERT_EQ(want.error, "");
+  EXPECT_FALSE(cold_obs.profile.empty()) << "the profiler sampled nothing";
+  expect_same_run(want, got);
+}
+
+TEST(SnapshotEquivalenceTest, CampaignIdenticalWithSnapshotsOnOrOffForAnyJobs) {
+  db::RunnerOptions opt;
+  opt.versions = {os::OsVersion::kVos2000};
+  opt.servers = {"apex", "abyssal"};
+  opt.iterations = 1;
+  opt.stride = 17;
+  opt.time_scale = 0.2;
+  opt.baseline_window_ms = 15000;
+  opt.seed = 42;
+  opt.trace = true;
+  opt.obs = true;
+
+  // Runs the campaign; returns its cells and its merged journal.
+  auto campaign = [&opt](bool warm_boot, int jobs) {
+    opt.warm_boot = warm_boot;
+    opt.jobs = jobs;
+    db::CampaignRunner runner(opt);
+    auto cells = runner.run_campaign();
+    std::ostringstream journal;
+    db::write_campaign_journal(journal, *runner.campaign_obs());
+    return std::make_pair(std::move(cells), journal.str());
+  };
+  const auto [cold, cold_journal] = campaign(false, 1);
+  const auto [warm1, warm1_journal] = campaign(true, 1);
+  const auto [warm4, warm4_journal] = campaign(true, 4);
+  // The merged journal (every run's bring_up instant, spans and cycles)
+  // matches too: no run executes its bring-up inside its window.
+  EXPECT_EQ(cold_journal, warm1_journal);
+  EXPECT_EQ(cold_journal, warm4_journal);
+
+  for (const auto* run : {&warm1, &warm4}) {
+    ASSERT_EQ(cold.size(), run->size());
+    for (std::size_t c = 0; c < cold.size(); ++c) {
+      SCOPED_TRACE(cold[c].os_name + "/" + cold[c].server_name);
+      EXPECT_EQ(cold[c].server_name, (*run)[c].server_name);
+      expect_same_metrics(cold[c].baseline, (*run)[c].baseline);
+      ASSERT_EQ(cold[c].iterations.size(), (*run)[c].iterations.size());
+      for (std::size_t i = 0; i < cold[c].iterations.size(); ++i) {
+        expect_same_metrics(cold[c].iterations[i].metrics,
+                            (*run)[c].iterations[i].metrics);
+        expect_same_counters(cold[c].iterations[i].counters,
+                             (*run)[c].iterations[i].counters);
+        expect_same_records(cold[c].iterations[i].activations,
+                            (*run)[c].iterations[i].activations);
+      }
+    }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// Controller reset: a reused controller is indistinguishable from a fresh
+// Controller(snap), whatever it ran before
+// ---------------------------------------------------------------------------
+
 /// A synthetic fault whose window, at the entry of API function `fn`, makes
-/// a wild store (`op` = kStB or kSt) of `value` to `target`. A store into
-/// the code region survives both the injector's restore and every reboot:
-/// only a reset (or a fresh SUB) undoes it.
+/// wild stores, each (`op` = kStB or kSt) of `value` to `target`. A store
+/// into the code region survives both the injector's restore and every
+/// reboot: only a reset (or a fresh SUB) undoes it.
+struct WildStore {
+  isa::Op op;
+  std::uint64_t target;
+  std::int32_t value;
+};
 swfit::FaultLocation wild_store_fault(const isa::Image& img,
-                                      const std::string& fn, isa::Op op,
-                                      std::uint64_t target,
-                                      std::int32_t value) {
+                                      const std::string& fn,
+                                      const std::vector<WildStore>& stores) {
   const auto* sym = img.find_symbol(fn);
   EXPECT_NE(sym, nullptr) << fn;
   swfit::FaultLocation f;
   f.type = swfit::FaultType::kWVAV;
   f.function = fn;
   f.addr = sym->addr;
-  f.mutated = {{isa::Op::kMovI, 13, 0, 0, static_cast<std::int32_t>(target)},
-               {isa::Op::kMovI, 12, 0, 0, value},
-               {op, 0, 13, 12, 0}};
+  for (const auto& w : stores) {
+    f.mutated.push_back(
+        {isa::Op::kMovI, 13, 0, 0, static_cast<std::int32_t>(w.target)});
+    f.mutated.push_back({isa::Op::kMovI, 12, 0, 0, w.value});
+    f.mutated.push_back({w.op, 0, 13, 12, 0});
+  }
   for (std::size_t i = 0; i < f.mutated.size(); ++i) {
     f.original.push_back(*img.at(f.addr + i * isa::kInstrSize));
   }
@@ -471,26 +499,29 @@ TEST(ControllerResetTest, ReusedControllerMatchesFreshForAnyHistory) {
   ASSERT_FALSE(fl.faults.empty());
   const std::size_t scanned = fl.faults.size();
 
-  // Three synthetic wild stores. The first rewrites the unused immediate of
-  // heap_init's final RET: boot still works, but the boot code no longer
-  // matches the pristine image, so the next reboot is a real cold_boot. The
-  // second turns NtReadFile's first opcode into garbage. The third empties
-  // the heap free list every few requests: apex's heap probe kills the
-  // worker, and the watchdog restarts it (its reboot heals the heap).
+  // Three synthetic wild-store faults. The third empties the heap free list
+  // every few requests: apex's heap probe kills the worker, and the
+  // watchdog restarts it (its reboot heals the heap). The first does the
+  // same after rewriting the unused immediate of heap_init's final RET:
+  // boot still works, but the boot code no longer matches the pristine
+  // image, so the watchdog's reboot is a real cold_boot. The second turns
+  // NtReadFile's first opcode into garbage.
   const auto* heap_init = img.find_symbol("heap_init");
   ASSERT_NE(heap_init, nullptr);
   const std::uint64_t ret_at = heap_init->addr + heap_init->size - isa::kInstrSize;
   ASSERT_EQ(img.at(ret_at)->op, isa::Op::kRet);
   const std::uint64_t garbage_at = img.find_symbol("NtReadFile")->addr;
   const std::size_t boot_fault = fl.faults.size();
-  fl.faults.push_back(
-      wild_store_fault(img, "NtClose", isa::Op::kStB, ret_at + 4, 0x5A));
+  const WildStore empty_heap{isa::Op::kSt, os::layout::kHeapCtl, 0};
+  fl.faults.push_back(wild_store_fault(
+      img, "RtlEnterCriticalSection",
+      {{isa::Op::kStB, ret_at + 4, 0x5A}, empty_heap}));
   const std::size_t code_fault = fl.faults.size();
-  fl.faults.push_back(wild_store_fault(img, "RtlFreeHeap", isa::Op::kStB,
-                                       garbage_at, 0xFF));
+  fl.faults.push_back(wild_store_fault(
+      img, "RtlFreeHeap", {{isa::Op::kStB, garbage_at, 0xFF}}));
   const std::size_t heap_fault = fl.faults.size();
-  fl.faults.push_back(wild_store_fault(img, "RtlEnterCriticalSection",
-                                       isa::Op::kSt, os::layout::kHeapCtl, 0));
+  fl.faults.push_back(
+      wild_store_fault(img, "RtlEnterCriticalSection", {empty_heap}));
 
   db::ControllerConfig base;
   base.time_scale = 0.1;
@@ -551,17 +582,15 @@ TEST(ControllerResetTest, ReusedControllerMatchesFreshForAnyHistory) {
     if (ctl == nullptr) {
       ctl = std::make_unique<db::Controller>(snap, cfg_for(index, obs));
     } else {
-      ctl->reset(snap, cfg_for(index, obs));
-      // The previous run ended in a reboot (every run does), which clears
-      // the kernel data region's dirty bits: reset must recopy it anyway.
+      ctl->reset(cfg_for(index, obs));
+      // A reboot during the previous run clears the kernel data region's
+      // dirty bits: reset must recopy it anyway.
       EXPECT_EQ(ctl->kernel().machine().state_digest(), fresh_digest);
       EXPECT_TRUE(ctl->kernel().disk() == fresh_kernel.disk());
       EXPECT_EQ(ctl->kernel().ticks(), fresh_kernel.ticks());
     }
     const auto cold_boots = ctl->kernel().counters().cold_boots;
     expect_same_run(want[index], run_bytes(*ctl, fl, obs, seed_for(index)));
-    // Counted on the kernel: the run's closing scrub reboot happens after
-    // the obs harvest.
     cold_boot_seen =
         cold_boot_seen || ctl->kernel().counters().cold_boots > cold_boots;
     garbage_seen = garbage_seen ||
@@ -571,21 +600,40 @@ TEST(ControllerResetTest, ReusedControllerMatchesFreshForAnyHistory) {
   EXPECT_TRUE(garbage_seen) << "the wild store into NtReadFile never ran";
 }
 
-TEST(ControllerResetTest, ResetRejectsAForeignSnapshot) {
+TEST(ControllerResetTest, ResetRequiresASnapshotOrigin) {
   const auto snap =
       snapshot::capture_warm_boot(os::OsVersion::kVos2000, "apex");
-  const auto other =
-      snapshot::capture_warm_boot(os::OsVersion::kVos2000, "apex");
-  db::Controller warm(snap);
-  EXPECT_THROW(warm.reset(other, {}), std::invalid_argument);
   db::Controller cold(os::OsVersion::kVos2000, "apex");
-  EXPECT_THROW(cold.reset(snap, {}), std::invalid_argument);
+  EXPECT_THROW(cold.reset({}), std::logic_error);
   // A kernel reset is only sound against its own dirty-tracking baseline.
+  EXPECT_THROW(os::Kernel(os::OsVersion::kVos2000).reset(), std::logic_error);
   os::Kernel k(snap->kernel);
-  EXPECT_THROW(k.reset(other->kernel), std::invalid_argument);
-  k.reset(snap->kernel);
+  k.reset();
   (void)k.snapshot();  // rebases the dirty bitmap
-  EXPECT_THROW(k.reset(snap->kernel), std::invalid_argument);
+  EXPECT_THROW(k.reset(), std::logic_error);
+}
+
+TEST(ControllerResetTest, OneRunPerBuildOrReset) {
+  const auto snap =
+      snapshot::capture_warm_boot(os::OsVersion::kVos2000, "apex");
+  const auto fl = swfit::Scanner{}.scan(snap->kernel.pristine, all_api_names());
+  db::ControllerConfig cfg;
+  cfg.time_scale = 0.02;
+  cfg.fault_stride = static_cast<int>(fl.faults.size());
+
+  db::Controller warm(snap, cfg);
+  (void)warm.run_baseline(200, 1);
+  EXPECT_THROW(warm.run_baseline(200, 1), std::logic_error);
+  EXPECT_THROW(warm.run_profile_mode(fl, 200, 1), std::logic_error);
+  EXPECT_THROW(warm.run_iteration(fl, 1), std::logic_error);
+  warm.reset(cfg);
+  const auto after_reset = warm.run_iteration(fl, 1);
+  EXPECT_EQ(after_reset.counters.faults_injected, 1);
+  EXPECT_THROW(warm.run_iteration(fl, 1), std::logic_error);
+
+  db::Controller cold(os::OsVersion::kVos2000, "apex", cfg);
+  (void)cold.run_profile_mode(fl, 200, 1);
+  EXPECT_THROW(cold.run_baseline(200, 1), std::logic_error);
 }
 
 }  // namespace

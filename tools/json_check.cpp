@@ -4,7 +4,9 @@
 //   json_check --jsonl FILE...         one JSON object per line
 //   json_check --schema NAME FILE...   chrome (trace events), manifest, sched,
 //     store (store bench or stats), micro (BENCH_micro.json: Release build
-//     context, positive rates), profile (cycle profiles) or diff
+//     context, positive rates), profile (cycle profiles), diff, activation
+//     (activation summaries), snapshot (BENCH_snapshot.json) or obs
+//     (BENCH_obs.json)
 //
 // Exit 0 when every file validates; otherwise print the first problem per
 // file by its JSON path (`cells[3].server: expected string`) and exit 1; a
@@ -316,15 +318,39 @@ const Table kMicro{
      {"benchmarks[].real_time items_per_second~", kPositive}},
     micro_families};
 
+/// An activation summary (trace::activation_summary_json): the
+/// --activation-json artifact and BENCH_activation.json.
+const Table kActivation{
+    {{"injected activated latent external", kCount},
+     {"activation_rate", kUnit},
+     {"by_type{}.injected activated", kCount},
+     {"by_type{}.rate", kUnit}}};
+
+/// BENCH_snapshot.json: cold reboot vs boot replay, cold vs warm campaign.
+const Table kSnapshotBench{
+    {{"cold_reboot_ns snapshot_restore_ns micro_speedup campaign_warm_ms "
+      "campaign_cold_ms campaign_speedup",
+      kPositive}}};
+
+/// BENCH_obs.json; the two profiler members are newer than the committed
+/// file, so they may be absent.
+const Table kObsBench{
+    {{"vm_dispatch_items_per_s api_call_ns api_call_obs_ns api_obs_overhead "
+      "campaign_plain_ms campaign_obs_ms campaign_obs_overhead "
+      "vm_dispatch_profiled_items_per_s~ profiler_armed_retention_rate~",
+      kPositive}}};
+
 const std::map<std::string, const Table*> kSchemas = {
-    {"chrome", &kChrome}, {"manifest", &kManifest}, {"sched", &kSched},
-    {"store", &kStoreBench}, {"micro", &kMicro}, {"profile", &kProfile},
-    {"diff", &kDiff}};
+    {"chrome", &kChrome},         {"manifest", &kManifest},
+    {"sched", &kSched},           {"store", &kStoreBench},
+    {"micro", &kMicro},           {"profile", &kProfile},
+    {"diff", &kDiff},             {"activation", &kActivation},
+    {"snapshot", &kSnapshotBench}, {"obs", &kObsBench}};
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: json_check [--jsonl | --schema chrome|manifest|sched|"
-               "store|micro|profile|diff] FILE...\n");
+               "store|micro|profile|diff|activation|snapshot|obs] FILE...\n");
   std::exit(2);
 }
 
